@@ -58,9 +58,11 @@ fn tier_modules_must_stay_private_and_unreexported() {
 #[test]
 fn bare_ordering_in_an_audited_module_is_flagged() {
     let src = include_str!("fixtures/atomic_bare.rs");
-    let findings = lint_source("crates/serve/src/server.rs", src);
-    assert_eq!(rules_hit(&findings), vec![atomics::RULE]);
-    assert_eq!(findings[0].line, 4, "only the runtime SeqCst store — cmp::Ordering and test code are exempt");
+    for path in ["crates/serve/src/server.rs", "crates/serve/src/registry.rs"] {
+        let findings = lint_source(path, src);
+        assert_eq!(rules_hit(&findings), vec![atomics::RULE], "{path}");
+        assert_eq!(findings[0].line, 4, "only the runtime SeqCst store — cmp::Ordering and test code are exempt");
+    }
 }
 
 #[test]

@@ -1,59 +1,55 @@
-//! Deadline-bounded, fault-isolated shard scoring — the graceful-degradation
-//! path of the serving layer.
+//! The score plan's executor: deadline-bounded, fault-isolated shard
+//! scoring for every batch the server serves.
 //!
-//! The classic scoring path (`ServingModel::recommend_batch_traced`) runs
-//! every shard to completion on the caller or the shared work-stealing pool:
-//! correct and fast, but a shard that stalls (or panics on a worker) holds
-//! the whole batch hostage — there is no way to abandon a `pool.scope` that
-//! has not finished. This module adds the bounded alternative the server
-//! routes to whenever a batch carries a deadline or fault injection is armed:
+//! The server runs each batch's per-shard steps here and then the
+//! per-request merge on the dispatcher (see [`crate::shard`]). A pool
+//! `scope` cannot be abandoned — a shard that stalls (or panics on a
+//! worker) would hold the whole batch hostage — so:
 //!
-//! * a dedicated **bulkhead executor** ([`ShardExecutor`]) scores shard
-//!   blocks on its own threads, so a stalled shard task never occupies the
-//!   process-wide pool other subsystems (training, evaluation) share;
+//! * a dedicated **bulkhead executor** ([`ShardExecutor`]) runs the
+//!   per-shard steps on its own threads, so a stalled shard task never
+//!   occupies the process-wide pool other subsystems (training,
+//!   evaluation) share; each worker owns the score, route and seen-bitmap
+//!   buffers its steps reuse;
 //! * the batch coordinator waits for shard results **only until the shard
-//!   deadline**; shards that miss it (or panic) are dropped and the k-way
-//!   merge runs over the survivors — a bounded, *flagged* degradation
-//!   ([`BoundedOutcome::degraded`]) instead of a hang or a silent lie;
+//!   deadline** (a batch without a deadline waits for every shard); shards
+//!   that miss it (or panic) are dropped and the k-way merge runs over the
+//!   survivors — a bounded, *flagged* degradation instead of a hang or a
+//!   silent lie;
 //! * abandoned tasks observe a cancellation flag and bail out of injected
 //!   delays and scoring work within ~1ms, so a backlog of timed-out shard
 //!   tasks drains quickly instead of wedging the executor.
 //!
-//! ## Exactness when nothing degrades
-//!
-//! When every shard answers within budget, the result is **bit-identical to
-//! the classic path**: the per-shard blocks come from the same kernels
-//! (GEMV for a batch of one, packed-panel GEMM otherwise, quantized variants
-//! on a quantized catalogue), the local ranking and k-way merge are the very
-//! functions the classic path uses, and the quantized pre-selection re-ranks
-//! through the same exact f32 kernel. The chaos suite pins this: under any
-//! injected single-shard fault, a response is either bit-identical to the
-//! exact path or explicitly flagged degraded.
+//! When every shard answers, the response is the plan's: bit-identical to
+//! the direct entry points (`ServingModel::recommend` for a batch of one).
+//! The chaos suite pins this: under any injected single-shard fault, a
+//! response is either bit-identical to the exact path or explicitly flagged
+//! degraded.
 
-use crate::shard::{clear_seen, mark_seen, merge_top_k, ScoredItem, ShardBlock, ShardedCatalog};
-use ham_data::dataset::ItemId;
-use ham_faults::FaultInjector;
-use ham_tensor::{Matrix, QuantizedQuery};
+use crate::shard::{ScorePlan, ScoredItem, ShardScratch, ShardedCatalog, Shortlists};
+use crate::trace::StageTrace;
+use ham_faults::{FaultInjector, ShardFault};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// A dedicated thread pool for deadline-bounded shard scoring.
+/// A dedicated thread pool for the per-shard steps of server batches.
 ///
 /// Deliberately **not** the process-wide work-stealing pool: its `scope`
 /// blocks until every task finishes, which is exactly the semantics a
 /// deadline must escape, and a slow shard parked on a shared worker would
 /// starve unrelated work. This bulkhead owns its backlog; abandoned tasks
-/// self-cancel (see [`ShardedCatalog::score_shard_block_faulted`]) so the
-/// queue drains even under sustained shard slowness.
+/// self-cancel (see [`score_bounded`]) so the queue drains even under
+/// sustained shard slowness. Each worker hands its tasks the one
+/// [`ShardScratch`] it keeps for its lifetime.
 pub(crate) struct ShardExecutor {
     shared: Arc<ExecutorShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
-type Task = Box<dyn FnOnce() + Send>;
+type Task = Box<dyn FnOnce(&mut ShardScratch) + Send>;
 
 struct ExecutorShared {
     /// (task queue, shutdown flag) under one lock so workers can check both.
@@ -70,26 +66,29 @@ impl ShardExecutor {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ham-shard-exec-{i}"))
-                    .spawn(move || loop {
-                        let task = {
-                            // The (queue, flag) tuple stays structurally
-                            // sound whatever a holder was doing when it
-                            // panicked; recover rather than lose a bulkhead
-                            // worker to someone else's poison.
-                            let mut guard = shared.tasks.lock().unwrap_or_else(PoisonError::into_inner);
-                            loop {
-                                if let Some(task) = guard.0.pop_front() {
-                                    break task;
+                    .spawn(move || {
+                        let mut scratch = ShardScratch::default();
+                        loop {
+                            let task = {
+                                // The (queue, flag) tuple stays structurally
+                                // sound whatever a holder was doing when it
+                                // panicked; recover rather than lose a bulkhead
+                                // worker to someone else's poison.
+                                let mut guard = shared.tasks.lock().unwrap_or_else(PoisonError::into_inner);
+                                loop {
+                                    if let Some(task) = guard.0.pop_front() {
+                                        break task;
+                                    }
+                                    if guard.1 {
+                                        return;
+                                    }
+                                    guard = shared.arrived.wait(guard).unwrap_or_else(PoisonError::into_inner);
                                 }
-                                if guard.1 {
-                                    return;
-                                }
-                                guard = shared.arrived.wait(guard).unwrap_or_else(PoisonError::into_inner);
-                            }
-                        };
-                        // Tasks contain their own catch_unwind; a panic never
-                        // reaches (and never kills) the worker.
-                        task();
+                            };
+                            // Tasks contain their own catch_unwind; a panic never
+                            // reaches (and never kills) the worker.
+                            task(&mut scratch);
+                        }
                     })
                     // ham-lint: allow(panic, "bulkhead startup, before any batch is scored — cannot serve without workers")
                     .expect("failed to spawn shard executor worker")
@@ -129,9 +128,8 @@ enum SlotState {
     /// Task not finished (yet, or ever — the batch stops waiting at the
     /// deadline regardless).
     Pending,
-    /// Scored block (dense, or pre-ranked on IVF catalogues) + scoring wall
-    /// time in microseconds.
-    Scores(ShardBlock, u64),
+    /// The shard's shortlists + step wall time in microseconds.
+    Scored(Shortlists, u64),
     /// The task panicked (injected or organic); the shard is dropped.
     Panicked,
     /// The task observed cancellation and skipped its work.
@@ -206,94 +204,56 @@ impl SlotBoard {
 pub(crate) struct BoundedOutcome {
     /// Per-request rankings over the surviving shards, batch order.
     pub rankings: Vec<Vec<ScoredItem>>,
-    /// Shards whose scores made it into the merge (empty shards count — they
-    /// answer vacuously).
-    pub shards_answered: usize,
-    /// Total shards in the catalogue.
-    pub shards_total: usize,
+    /// Shard ids whose shortlists made it into the merge (empty shards
+    /// count — they answer vacuously).
+    pub answered: Vec<usize>,
     /// Shard ids dropped because they missed the deadline budget.
     pub timed_out: Vec<usize>,
     /// Shard ids dropped because their scoring task panicked.
     pub panicked: Vec<usize>,
-    /// `(shard id, scoring micros)` of the shards that answered in time.
-    pub shard_micros: Vec<(usize, u64)>,
-    /// Wall time of the ranking + merge stage, microseconds.
-    pub merge_micros: u64,
-    /// Wall time of the exact re-rank (quantized catalogues only).
-    pub rerank_micros: u64,
 }
 
-impl BoundedOutcome {
-    /// Whether any shard was dropped from the merge.
-    pub fn degraded(&self) -> bool {
-        self.shards_answered < self.shards_total
-    }
-}
-
-/// Scores `queries` against every shard on the bulkhead executor, waits at
-/// most until `shard_deadline` (forever when `None` — then only panics can
-/// degrade), and ranks each request over the shards that answered.
-///
-/// `seen_items[i]` / `ks[i]` follow the same per-row convention as the
-/// classic batched path.
+/// Runs `plan`'s per-shard steps on the bulkhead executor, waits at most
+/// until `shard_deadline` (for every shard when `None` — then only panics
+/// can degrade), and runs the per-request step over the shards that
+/// answered. `trace` receives the stage timings.
 pub(crate) fn score_bounded(
     catalog: &Arc<ShardedCatalog>,
-    queries: Matrix,
-    ks: &[usize],
-    seen_items: &[Option<&[ItemId]>],
+    plan: Arc<ScorePlan>,
     executor: &ShardExecutor,
     shard_deadline: Option<Instant>,
     faults: &FaultInjector,
+    mut trace: Option<&mut StageTrace>,
 ) -> BoundedOutcome {
-    let b = queries.rows();
-    let shards_total = catalog.num_shards();
-    let quantized = catalog.is_quantized();
-    let qqueries: Option<Arc<Vec<QuantizedQuery>>> =
-        quantized.then(|| Arc::new((0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect()));
-    let queries = Arc::new(queries);
-    // Shard tasks are 'static closures, so the per-request ranking inputs the
-    // IVF in-task path needs — the pre-selection widths and owned copies of
-    // the seen histories — ride along behind Arcs (O(total history) copied
-    // once per batch; the dense path ignores them).
-    let select_ks: Arc<Vec<usize>> =
-        Arc::new(ks.iter().map(|&k| if quantized { k.saturating_mul(2) } else { k }).collect());
-    let owned_seen: Arc<Vec<Option<Vec<ItemId>>>> =
-        Arc::new(seen_items.iter().map(|items| items.map(<[ItemId]>::to_vec)).collect());
-    let board = Arc::new(SlotBoard::new(shards_total));
-    for shard in 0..shards_total {
+    let board = Arc::new(SlotBoard::new(catalog.num_shards()));
+    for shard in 0..catalog.num_shards() {
         if catalog.shards()[shard].is_empty() {
             // An empty shard answers vacuously — no task, no fault surface.
-            board.fill(shard, SlotState::Scores(ShardBlock::Dense(Matrix::zeros(b, 0)), 0));
+            board.fill(shard, SlotState::Scored(vec![Vec::new(); plan.len()], 0));
             continue;
         }
         let catalog = Arc::clone(catalog);
-        let queries = Arc::clone(&queries);
-        let qqueries = qqueries.clone();
-        let select_ks = Arc::clone(&select_ks);
-        let owned_seen = Arc::clone(&owned_seen);
+        let plan = Arc::clone(&plan);
         let board = Arc::clone(&board);
         let faults = faults.clone();
-        executor.submit(Box::new(move || {
+        executor.submit(Box::new(move |scratch: &mut ShardScratch| {
             if board.cancelled() {
                 board.fill(shard, SlotState::Skipped);
                 return;
             }
             let started = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                catalog.score_shard_block_faulted(
-                    shard,
-                    &queries,
-                    qqueries.as_deref().map(Vec::as_slice),
-                    &select_ks,
-                    &owned_seen,
-                    &faults,
-                    &|| board.cancelled(),
-                )
+                inject_fault(&faults, shard, || board.cancelled()).then(|| catalog.score_shard(shard, &plan, scratch))
             }));
             let state = match result {
-                Ok(Some(block)) => SlotState::Scores(block, started.elapsed().as_micros() as u64),
+                Ok(Some(lists)) => SlotState::Scored(lists, started.elapsed().as_micros() as u64),
                 Ok(None) => SlotState::Skipped,
-                Err(_) => SlotState::Panicked,
+                Err(_) => {
+                    // The step may have unwound between marking and clearing
+                    // the worker's seen bitmap.
+                    scratch.reset();
+                    SlotState::Panicked
+                }
             };
             board.fill(shard, state);
         }));
@@ -309,71 +269,54 @@ pub(crate) fn score_bounded(
         let mut slots = board.slots.lock().unwrap_or_else(PoisonError::into_inner);
         std::mem::take(&mut *slots)
     };
-    let mut survivors: Vec<(usize, ShardBlock)> = Vec::with_capacity(shards_total);
+    let mut survivors = Vec::with_capacity(slots.len());
+    let mut answered = Vec::new();
     let mut timed_out = Vec::new();
     let mut panicked = Vec::new();
     let mut shard_micros = Vec::new();
     for (shard, state) in slots.into_iter().enumerate() {
         match state {
-            SlotState::Scores(block, micros) => {
+            SlotState::Scored(lists, micros) => {
                 shard_micros.push((shard, micros));
-                survivors.push((shard, block));
+                survivors.push(lists);
+                answered.push(shard);
             }
             SlotState::Panicked => panicked.push(shard),
             SlotState::Pending | SlotState::Skipped => timed_out.push(shard),
         }
     }
-    let shards_answered = survivors.len();
+    if let Some(trace) = trace.as_deref_mut() {
+        trace.shard_score_micros = shard_micros;
+    }
+    let rankings = catalog.merge_requests(&plan, survivors, trace);
+    BoundedOutcome { rankings, answered, timed_out, panicked }
+}
 
-    // Rank + merge each request over the surviving shards — the same
-    // shard-local ranking, merge and (quantized) exact re-rank as the classic
-    // path, restricted to the shards that answered.
-    let merge_started = Instant::now();
-    let mut rerank_micros = 0u64;
-    let mut seen_scratch = vec![false; catalog.num_items()];
-    let mut rankings = Vec::with_capacity(b);
-    for i in 0..b {
-        let seen = match seen_items[i] {
-            Some(items) => {
-                mark_seen(&mut seen_scratch, items);
-                Some(seen_scratch.as_slice())
+/// Applies any injected fault for `shard` ahead of its step: a
+/// [`ShardFault::Delay`] sleeps cooperatively, a [`ShardFault::Panic`]
+/// panics (the caller runs this under `catch_unwind`). Returns `false` when
+/// `cancelled` turned true — the batch already gave up on this shard, so
+/// the remaining sleep and the step are skipped to free the worker quickly.
+fn inject_fault(faults: &FaultInjector, shard: usize, cancelled: impl Fn() -> bool) -> bool {
+    match faults.shard_fault(shard) {
+        Some(ShardFault::Delay(delay)) => {
+            // Sleep in small slices, checking for cancellation between
+            // them: a shard whose batch already timed out must stop
+            // clogging the bulkhead executor within ~1ms, not `delay`.
+            let until = Instant::now() + delay;
+            loop {
+                if cancelled() {
+                    return false;
+                }
+                let now = Instant::now();
+                if now >= until {
+                    break;
+                }
+                std::thread::sleep((until - now).min(Duration::from_millis(1)));
             }
-            None => None,
-        };
-        let select_k = select_ks[i];
-        let per_shard: Vec<Vec<ScoredItem>> = survivors
-            .iter()
-            .map(|(shard, block)| match block {
-                ShardBlock::Dense(block) => catalog.shard_top_k(*shard, block.row(i), select_k, seen),
-                // IVF shards ranked in-task with the same select_k and seen
-                // history; the shortlist is already the shard's merge input.
-                ShardBlock::Ranked(lists) => lists[i].clone(),
-            })
-            .collect();
-        let merged = merge_top_k(&per_shard, select_k);
-        let ranked = if quantized {
-            let rerank_started = Instant::now();
-            let ranked = catalog.rerank_exact(merged, queries.row(i), ks[i], seen);
-            rerank_micros += rerank_started.elapsed().as_micros() as u64;
-            ranked
-        } else {
-            merged
-        };
-        if let Some(items) = seen_items[i] {
-            clear_seen(&mut seen_scratch, items);
         }
-        rankings.push(ranked);
+        Some(ShardFault::Panic) => panic!("ham-faults: injected panic in shard {shard}"),
+        None => {}
     }
-    let merge_micros = (merge_started.elapsed().as_micros() as u64).saturating_sub(rerank_micros);
-
-    BoundedOutcome {
-        rankings,
-        shards_answered,
-        shards_total,
-        timed_out,
-        panicked,
-        shard_micros,
-        merge_micros,
-        rerank_micros,
-    }
+    !cancelled()
 }

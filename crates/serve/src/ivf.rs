@@ -187,12 +187,10 @@ impl ClusterIndex {
         &self.panels[j]
     }
 
-    /// Cluster `j`'s int8 panel.
-    ///
-    /// # Panics
-    /// Panics if the panels were never quantized.
-    pub(crate) fn qpanel(&self, j: usize) -> &QuantizedMatrix {
-        &self.qpanels[j]
+    /// Cluster `j`'s int8 panel (`None` when the panels were never
+    /// quantized).
+    pub(crate) fn qpanel(&self, j: usize) -> Option<&QuantizedMatrix> {
+        self.qpanels.get(j)
     }
 
     /// Cluster `j`'s shard-local row ids, ascending.

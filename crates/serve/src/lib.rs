@@ -10,11 +10,13 @@
 //! same kernels:
 //!
 //! * [`shard`] — [`ShardedCatalog`]: the candidate matrix `W` split row-wise
-//!   into per-worker shards. Each shard is scored with the existing GEMV /
-//!   packed-panel GEMM kernels, seen items are masked shard-locally through
-//!   the fused mask+select top-k (no `-inf` writes), and the per-shard top-k
-//!   lists are merged by a k-way heap into the **exact** global top-k —
-//!   bit-identical ids, stable tie-break, for every shard count.
+//!   into per-worker shards, and the **score plan** every entry point serves
+//!   through. Per shard: an optional IVF route, an f32 or int8 scan (GEMV
+//!   for one query row, packed-panel GEMM otherwise) and the fused
+//!   mask+select top-k (no `-inf` writes); per request: the k-way heap merge
+//!   into the **exact** global top-k — bit-identical ids, stable tie-break,
+//!   for every shard count — then, on the int8 tier, the exact re-rank.
+//!   Tiers and modes are parameters of the plan, not method families.
 //! * [`model`] — [`ServingModel`]: a frozen serving snapshot (sharded
 //!   catalogue + owned query builder) constructed from any
 //!   [`ham_core::Scorer`] or anything else with a [`ham_core::LinearHead`]
@@ -24,20 +26,22 @@
 //!   requests finish on the snapshot they started with.
 //! * [`server`] — [`RecServer`]: the request layer. Concurrent
 //!   [`RecommendRequest`]s are coalesced by a micro-batching queue into one
-//!   GEMM per shard (scored in parallel on the process-wide work-stealing
-//!   pool, `ham_tensor::pool`), and every [`RecommendResponse`] carries its
-//!   queue/service latency split.
+//!   batch, whose per-shard steps run in parallel on a dedicated bulkhead
+//!   executor, and every [`RecommendResponse`] carries its queue/service
+//!   latency split.
 //! * deadlines & degradation — requests carry deadlines
 //!   ([`RecommendRequest::with_deadline`] or
 //!   [`ServerConfig::default_deadline`]): expired-in-queue requests are shed
-//!   with [`server::SubmitError::DeadlineExpired`], and a deadline-carrying
-//!   batch is scored on a bulkhead executor where a shard that misses its
-//!   budget (or panics) is dropped from the k-way merge — the response comes
-//!   back flagged [`RecommendResponse::degraded`] with
-//!   [`RecommendResponse::shards_answered`] naming how complete it is.
-//!   [`ModelRegistry::rollback_to`] republishes an archived snapshot when a
-//!   freshly published model misbehaves. Deterministic fault injection for
-//!   all of this lives in `ham-faults` (`HAM_FAULTS=<spec>`).
+//!   with [`server::SubmitError::DeadlineExpired`], and the executor stops
+//!   waiting for a batch's shards at its deadline budget — a shard that
+//!   misses it (or panics) is dropped from the k-way merge and the response
+//!   comes back flagged [`RecommendResponse::degraded`] with
+//!   [`RecommendResponse::shards_answered`] naming how complete it is. A
+//!   batch without a deadline waits for every shard; the same executor
+//!   serves both. [`ModelRegistry::rollback_to`] republishes an archived
+//!   snapshot when a freshly published model misbehaves. Deterministic
+//!   fault injection for all of this lives in `ham-faults`
+//!   (`HAM_FAULTS=<spec>`).
 //!
 //! ## Quickstart
 //!
@@ -74,7 +78,7 @@ pub mod shard;
 pub mod trace;
 
 pub use ivf::{IvfConfig, PROBE_ALL};
-pub use model::{ServeScratch, ServingModel};
+pub use model::ServingModel;
 pub use registry::{ModelRegistry, PublishedModel, RollbackError};
 pub use request::{LatencyStats, RecommendRequest, RecommendResponse};
 pub use server::{RecServer, ServerConfig, ServerStats, SubmitError};

@@ -2,11 +2,11 @@
 
 use crate::ivf::IvfConfig;
 use crate::request::RecommendRequest;
-use crate::shard::{ScoredItem, ShardedCatalog};
-use ham_core::{LinearHead, Scorer, SeenMask};
+use crate::shard::{ScorePlan, ScoredItem, ShardedCatalog};
+use ham_core::{LinearHead, Scorer};
 use ham_data::dataset::ItemId;
 use ham_tensor::pool::ThreadPool;
-use ham_tensor::{Matrix, QuantizedQuery};
+use ham_tensor::Matrix;
 use std::sync::Arc;
 
 /// A model snapshot prepared for online serving.
@@ -18,11 +18,12 @@ use std::sync::Arc;
 /// ([`Self::from_scorer`]) or from anything else exposing a [`LinearHead`]
 /// ([`Self::from_head_fn`], used for the `ham-baselines` recommenders).
 ///
-/// Results are **exact**: the single-request path ([`Self::recommend`])
+/// Results are **exact**: every request goes through the catalogue's score
+/// plan (see [`crate::shard`]). A single request ([`Self::recommend`])
 /// scores each shard with the same GEMV kernel the single-node
-/// `recommend_top_k` uses and is bit-identical to it; the batched path
-/// ([`Self::recommend_batch`]) coalesces the batch into one packed-panel GEMM
-/// per shard and is bit-identical to the equivalent unsharded GEMM ranking
+/// `recommend_top_k` uses and is bit-identical to it; a larger batch
+/// ([`Self::recommend_batch`]) coalesces into one packed-panel GEMM per
+/// shard and is bit-identical to the equivalent unsharded GEMM ranking
 /// (which agrees with the GEMV path within float rounding, ≤ 1e-5 — the same
 /// contract `score_batch` has had since the kernel layer landed).
 ///
@@ -34,9 +35,9 @@ use std::sync::Arc;
 /// path (pinned by the serving tests as a recall guardrail).
 pub struct ServingModel {
     name: String,
-    /// Behind an `Arc`: the deadline-bounded degraded path hands each shard
-    /// task its own catalogue handle, so a task that outlives its batch (a
-    /// timed-out slow shard) can never dangle.
+    /// Behind an `Arc`: the server's executor hands each shard task its own
+    /// catalogue handle, so a task that outlives its batch (a timed-out slow
+    /// shard) can never dangle.
     catalog: Arc<ShardedCatalog>,
     query: ham_core::scorer::QueryFn<'static>,
 }
@@ -156,8 +157,8 @@ impl ServingModel {
         &self.catalog
     }
 
-    /// A shareable handle to the catalogue — what the deadline-bounded
-    /// scoring path hands to its per-shard tasks.
+    /// A shareable handle to the catalogue — what the server's executor
+    /// hands to its per-shard tasks.
     pub fn catalog_arc(&self) -> Arc<ShardedCatalog> {
         Arc::clone(&self.catalog)
     }
@@ -172,154 +173,37 @@ impl ServingModel {
         (self.query)(user, history)
     }
 
-    /// Serves one request exactly: per-shard GEMV, shard-local fused
-    /// masking, k-way merge. Bit-identical to the single-node
-    /// `recommend_top_k` for every shard count.
-    ///
-    /// Allocates its own working buffers; a serving loop should hold a
-    /// [`ServeScratch`] and call [`Self::recommend_with`] instead.
+    /// Serves one request exactly, inline on the caller: the score plan with
+    /// a GEMV per shard, shard-local fused masking, k-way merge.
+    /// Bit-identical to the single-node `recommend_top_k` for every shard
+    /// count.
     pub fn recommend(&self, request: &RecommendRequest) -> Vec<ScoredItem> {
-        self.recommend_with(request, &mut ServeScratch::new())
+        self.recommend_batch(std::slice::from_ref(request), None).pop().unwrap_or_default()
     }
 
-    /// [`Self::recommend`] with reusable working buffers: the shard GEMVs
-    /// write into `scratch`'s score buffer ([`matvec_transposed_into`] — no
-    /// `Vec` per request) and the seen-item bitmap is marked and cleared in
-    /// O(history) instead of being re-allocated per request. Results are
-    /// identical to [`Self::recommend`].
-    ///
-    /// [`matvec_transposed_into`]: ham_tensor::kernels::matvec_transposed_into
-    // ham-lint: hot-path
-    pub fn recommend_with(&self, request: &RecommendRequest, scratch: &mut ServeScratch) -> Vec<ScoredItem> {
-        let q = self.query_vector(request.user, &request.history);
-        let ServeScratch { scores, seen, qquery, route } = scratch;
-        let seen_bits = if request.exclude_seen {
-            seen.resize(self.catalog.num_items());
-            seen.mark(&request.history);
-            Some(seen.bits())
-        } else {
-            None
-        };
-        let out = match (self.catalog.is_clustered(), self.catalog.is_quantized()) {
-            (true, true) => self.catalog.ivf_quantized_top_k_with_buf(&q, request.k, seen_bits, scores, qquery, route),
-            (true, false) => self.catalog.ivf_top_k_with_buf(&q, request.k, seen_bits, scores, route),
-            (false, true) => self.catalog.quantized_top_k_with_buf(&q, request.k, seen_bits, scores, qquery),
-            (false, false) => self.catalog.top_k_with_buf(&q, request.k, seen_bits, scores),
-        };
-        if request.exclude_seen {
-            seen.clear(&request.history);
-        }
-        out
-    }
-
-    /// Serves a coalesced batch: the queries are built once, every shard is
-    /// scored with one packed-panel GEMM over the whole batch (in parallel
-    /// across shards on `pool` when given), and each request is ranked and
-    /// merged with its own `k` and seen history (one catalogue bitmap is
-    /// reused across the whole batch inside `top_k_batch`, marked/cleared
-    /// per request in O(history) — no per-request bitmap allocations).
-    ///
-    /// A batch of one takes the GEMV path of [`Self::recommend`], so a
+    /// Serves a batch through the score plan: the queries are built once,
+    /// every shard is scored with one packed-panel GEMM over the whole batch
+    /// (in parallel across shards on `pool` when given, inline otherwise),
+    /// and each request is ranked and merged with its own `k` and seen
+    /// history. A batch of one takes the GEMV of [`Self::recommend`], so a
     /// lonely request gets the same bits whether or not it was queued.
     pub fn recommend_batch(&self, requests: &[RecommendRequest], pool: Option<&ThreadPool>) -> Vec<Vec<ScoredItem>> {
-        self.recommend_batch_with(requests, pool, &mut ServeScratch::new())
-    }
-
-    /// [`Self::recommend_batch`] with reusable working buffers: a batch of
-    /// one takes the allocation-free GEMV path of [`Self::recommend_with`]
-    /// (same bits whether or not the request was queued), larger batches take
-    /// the per-shard GEMM path. The dispatcher thread of `RecServer` holds
-    /// one [`ServeScratch`] across its whole lifetime.
-    pub fn recommend_batch_with(
-        &self,
-        requests: &[RecommendRequest],
-        pool: Option<&ThreadPool>,
-        scratch: &mut ServeScratch,
-    ) -> Vec<Vec<ScoredItem>> {
-        self.recommend_batch_traced(requests, pool, scratch, None)
-    }
-
-    /// [`Self::recommend_batch_with`] with stage timing: when `trace` is
-    /// given, query assembly, per-shard scoring, merging and (on the
-    /// quantized path) the exact re-rank are clocked into it. The batch-of-1
-    /// GEMV path is deliberately timed as one opaque `solo` stage — its
-    /// scoring loop stays exactly the untraced code, so a queued lone
-    /// request keeps returning the same bits with or without telemetry.
-    pub fn recommend_batch_traced(
-        &self,
-        requests: &[RecommendRequest],
-        pool: Option<&ThreadPool>,
-        scratch: &mut ServeScratch,
-        mut trace: Option<&mut crate::trace::StageTrace>,
-    ) -> Vec<Vec<ScoredItem>> {
-        match requests {
-            [] => Vec::new(),
-            [single] => {
-                let started = trace.is_some().then(std::time::Instant::now);
-                let out = vec![self.recommend_with(single, scratch)];
-                if let (Some(trace), Some(at)) = (trace.as_deref_mut(), started) {
-                    trace.solo_micros = Some(at.elapsed().as_micros() as u64);
-                }
-                out
-            }
-            _ => {
-                let assembly_started = trace.is_some().then(std::time::Instant::now);
-                let mut queries = Matrix::zeros(requests.len(), self.catalog.dim());
-                for (i, request) in requests.iter().enumerate() {
-                    queries.row_mut(i).copy_from_slice(&self.query_vector(request.user, &request.history));
-                }
-                let ks: Vec<usize> = requests.iter().map(|r| r.k).collect();
-                let seen: Vec<Option<&[usize]>> =
-                    requests.iter().map(|r| r.exclude_seen.then_some(r.history.as_slice())).collect();
-                if let (Some(trace), Some(at)) = (trace.as_deref_mut(), assembly_started) {
-                    trace.batch_assembly_micros = at.elapsed().as_micros() as u64;
-                }
-                if self.catalog.is_quantized() {
-                    self.catalog.quantized_top_k_batch_traced(&queries, &ks, &seen, pool, trace)
-                } else {
-                    self.catalog.top_k_batch_traced(&queries, &ks, &seen, pool, trace)
-                }
-            }
+        let mut queries = Matrix::zeros(requests.len(), self.catalog.dim());
+        for (i, request) in requests.iter().enumerate() {
+            queries.row_mut(i).copy_from_slice(&self.query_vector(request.user, &request.history));
         }
-    }
-}
-
-/// Reusable working buffers for the single-request serving path: the shard
-/// score buffer (grown once to the largest shard) and a [`SeenMask`]
-/// (marked and cleared per request in O(history), the same bitmap type the
-/// single-node recommend paths use).
-///
-/// Invariant between calls: the mask is all-clear. The recommend paths
-/// restore it on every normal return; after a panic unwound through a
-/// serving call, call [`Self::reset`] before reuse.
-#[derive(Debug)]
-pub struct ServeScratch {
-    scores: Vec<f32>,
-    seen: SeenMask,
-    /// Reusable quantized-query buffer for the quantized serving path
-    /// (re-quantized in place per request — no allocation after warmup).
-    qquery: QuantizedQuery,
-    /// Reusable centroid-score buffer for the cluster-routed IVF path
-    /// (grown once to the largest per-shard cluster count).
-    route: Vec<f32>,
-}
-
-impl ServeScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        Self { scores: Vec::new(), seen: SeenMask::new(0), qquery: QuantizedQuery::quantize(&[]), route: Vec::new() }
+        self.catalog.run(&self.plan(queries, requests), pool)
     }
 
-    /// Restores the all-clear invariant (used after a serving call panicked
-    /// mid-request, when the request's marks may still be set).
-    pub fn reset(&mut self) {
-        self.seen.reset();
-    }
-}
-
-impl Default for ServeScratch {
-    fn default() -> Self {
-        Self::new()
+    /// The score plan for `requests` with query rows `queries` (one per
+    /// request, in order), on this model's tier.
+    pub(crate) fn plan<'r>(
+        &self,
+        queries: Matrix,
+        requests: impl IntoIterator<Item = &'r RecommendRequest>,
+    ) -> ScorePlan {
+        let (ks, seen) = requests.into_iter().map(|r| (r.k, r.exclude_seen.then(|| r.history.clone()))).unzip();
+        ScorePlan::new(queries, ks, seen, self.catalog.is_quantized())
     }
 }
 

@@ -93,6 +93,10 @@ impl ModelRegistry {
     /// version newer than the slot's occupant.
     pub fn publish(&self, model: ServingModel) -> u64 {
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        // ordering: SeqCst — conservative: the bump happens under the slot
+        // lock, which already serialises publishers, and the counter
+        // publishes no data alongside it (readers reach the model through
+        // the lock), so any ordering that keeps the RMW atomic would do.
         let version = self.versions.fetch_add(1, Ordering::SeqCst) + 1;
         let published = Arc::new(PublishedModel { model: Arc::new(model), version, rollback_of: None });
         self.archive(&published);
@@ -119,6 +123,7 @@ impl ModelRegistry {
                 None => return Err(RollbackError { version, available: history.iter().map(|p| p.version).collect() }),
             }
         };
+        // ordering: SeqCst — same bump under the slot lock as `publish`.
         let new_version = self.versions.fetch_add(1, Ordering::SeqCst) + 1;
         let published = Arc::new(PublishedModel { model: target, version: new_version, rollback_of: Some(version) });
         self.archive(&published);
@@ -134,6 +139,8 @@ impl ModelRegistry {
 
     /// Version of the latest publish.
     pub fn version(&self) -> u64 {
+        // ordering: SeqCst pairs with the bumps in `publish` and
+        // `rollback_to`; conservative, as the count guards no other data.
         self.versions.load(Ordering::SeqCst)
     }
 

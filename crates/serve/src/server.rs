@@ -11,16 +11,21 @@
 //! drained batch is served from the registry's current model snapshot —
 //! hot-swaps between batches never pause traffic — and every response carries
 //! its own queue/service latency split.
+//!
+//! Every batch, a lone request included, is served by one engine: query
+//! assembly on the dispatcher, the score plan's per-shard steps on the
+//! bulkhead executor (`degrade.rs`) — bounded by the batch's deadline
+//! when it has one, waiting for every shard when it does not — and the
+//! per-request merge back on the dispatcher.
 
 use crate::degrade::{score_bounded, ShardExecutor};
-use crate::model::ServeScratch;
-use crate::registry::{ModelRegistry, PublishedModel};
+use crate::model::ServingModel;
+use crate::registry::ModelRegistry;
 use crate::request::{RecommendRequest, RecommendResponse};
 use crate::shard::ScoredItem;
 use crate::trace::StageTrace;
 use ham_faults::FaultInjector;
 use ham_telemetry::{Counter, Gauge, Histogram, SpanTree, Telemetry};
-use ham_tensor::pool::global_pool;
 use ham_tensor::Matrix;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,9 +42,6 @@ pub struct ServerConfig {
     /// non-empty but below `max_batch`. Zero drains immediately (lowest
     /// latency, least coalescing).
     pub coalesce_wait: Duration,
-    /// Score the shards of a batch in parallel on the process-wide worker
-    /// pool. Disable to dedicate the pool to other work.
-    pub parallel_shards: bool,
     /// Admission control: requests arriving while the queue already holds
     /// this many are **shed** — [`RecServer::submit`] returns
     /// [`SubmitError::QueueFull`] immediately instead of letting the queue
@@ -51,36 +53,23 @@ pub struct ServerConfig {
     /// still queued past its deadline is shed with
     /// [`SubmitError::DeadlineExpired`] before any scoring is spent on it;
     /// a request picked up close to its deadline grants the shard-scoring
-    /// stage only the remaining budget (see
-    /// [`Self::shard_budget_fraction`]) and may come back
+    /// stage only 70% of the remaining budget and may come back
     /// [`degraded`](RecommendResponse::degraded). `None` (the default)
     /// leaves requests without their own deadline unbounded.
     pub default_deadline: Option<Duration>,
-    /// Fraction of a batch's tightest remaining deadline budget granted to
-    /// the shard-scoring stage; the holdback covers ranking, merging and
-    /// delivery. The batch budget is the minimum over its requests'
-    /// remaining deadlines at pickup. Clamped to `[0.05, 1.0]`.
-    pub shard_budget_fraction: f64,
-    /// Worker threads of the bulkhead executor that scores shards under a
-    /// deadline (spawned lazily by the first bounded batch — requests
-    /// without deadlines and with no faults armed never pay for it).
-    /// `0` (the default) sizes it to the model's shard count, capped at 8.
-    pub shard_workers: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 64,
-            coalesce_wait: Duration::from_micros(200),
-            parallel_shards: true,
-            max_queue: 1024,
-            default_deadline: None,
-            shard_budget_fraction: 0.7,
-            shard_workers: 0,
-        }
+        Self { max_batch: 64, coalesce_wait: Duration::from_micros(200), max_queue: 1024, default_deadline: None }
     }
 }
+
+/// Fraction of a batch's tightest remaining deadline budget granted to the
+/// per-shard steps; the holdback covers the merge, re-rank and delivery.
+/// The batch budget is the minimum over its requests' remaining deadlines
+/// at pickup.
+const SHARD_BUDGET_FRACTION: f64 = 0.7;
 
 /// Why [`RecServer::submit`] rejected a request without serving it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,7 +193,6 @@ struct ServeMetrics {
     stage_shard_score: Histogram,
     stage_merge: Histogram,
     stage_rerank: Histogram,
-    stage_solo: Histogram,
     /// Lazily resolved per-shard handles (`serve_shard_{s}_score_micros`,
     /// `serve_shard_{s}_deadline_miss_total`), indexed by shard id — the
     /// attribution that makes a slow shard visible *by name* before the
@@ -235,7 +223,6 @@ impl ServeMetrics {
             stage_shard_score: registry.histogram("serve_stage_shard_score_micros"),
             stage_merge: registry.histogram("serve_stage_merge_micros"),
             stage_rerank: registry.histogram("serve_stage_rerank_micros"),
-            stage_solo: registry.histogram("serve_stage_solo_gemv_micros"),
             per_shard: Mutex::new(Vec::new()),
         })
     }
@@ -378,7 +365,7 @@ impl RecServer {
     /// so a request can never slip in behind the dispatcher's final drain.
     ///
     /// Concurrent submitters are coalesced into shared scoring batches; a
-    /// lone submitter is served solo via the exact GEMV path.
+    /// lone submitter's batch of one scans each shard with the exact GEMV.
     ///
     /// A request the model itself rejects (unknown user id, a history the
     /// query builder panics on) comes back with an **empty** item list
@@ -476,12 +463,8 @@ impl Drop for RecServer {
 }
 
 fn dispatch_loop(shared: &ServerShared) {
-    // One scratch for the dispatcher's lifetime: the batch-of-1 GEMV path
-    // scores every shard into the same reused buffer and marks/clears the
-    // seen bitmap in O(history) — no per-request allocation on the hot path.
-    let mut scratch = ServeScratch::new();
-    // The bulkhead executor for deadline-bounded shard scoring, spawned by
-    // the first batch that needs it and reused for the dispatcher's life.
+    // The bulkhead executor that runs every batch's per-shard steps, spawned
+    // by the first batch and reused for the dispatcher's life.
     let mut executor: Option<ShardExecutor> = None;
     loop {
         let batch = {
@@ -520,7 +503,7 @@ fn dispatch_loop(shared: &ServerShared) {
         if batch.is_empty() {
             continue;
         }
-        serve_batch(shared, batch, &mut scratch, &mut executor);
+        serve_batch(shared, batch, &mut executor);
     }
 }
 
@@ -529,14 +512,10 @@ fn dispatch_loop(shared: &ServerShared) {
 struct ResponseMeta {
     degraded: bool,
     shards_answered: usize,
+    clusters_probed: usize,
 }
 
-fn serve_batch(
-    shared: &ServerShared,
-    batch: Vec<Pending>,
-    scratch: &mut ServeScratch,
-    executor: &mut Option<ShardExecutor>,
-) {
+fn serve_batch(shared: &ServerShared, batch: Vec<Pending>, executor: &mut Option<ShardExecutor>) {
     let published = shared.registry.current();
     let picked_up = Instant::now();
     // Move the requests out of their queue entries — the batch is scored
@@ -559,38 +538,26 @@ fn serve_batch(
     if requests.is_empty() {
         return;
     }
-    // The batch's scoring budget is its tightest member's deadline. Any
-    // deadline (or armed fault injection) routes to the bounded bulkhead
-    // path; a deadline-free, fault-free batch keeps the classic zero-copy
-    // path — it pays nothing for the machinery it does not use.
+    // The batch's scoring budget is its tightest member's deadline.
     let batch_deadline = waiters.iter().filter_map(|(_, deadline, _)| *deadline).min();
     let mut trace = shared.metrics.as_ref().map(|_| StageTrace::new());
-    let (rankings, metas) = if batch_deadline.is_some() || shared.faults.is_enabled() {
-        serve_bounded(shared, &published, &requests, picked_up, batch_deadline, executor, trace.as_mut())
-    } else {
-        serve_classic(shared, &published, &requests, scratch, trace.as_mut())
-    };
+    let served = score_batch(shared, &published.model, &requests, picked_up, batch_deadline, executor, trace.as_mut());
     let service_micros = picked_up.elapsed().as_micros() as u64;
     let batch_len = waiters.len() as u64;
     if let (Some(metrics), Some(trace)) = (&shared.metrics, &trace) {
         metrics.batch_size.record(batch_len);
         metrics.service_micros.record(service_micros);
-        match trace.solo_micros {
-            Some(solo) => metrics.stage_solo.record(solo),
-            None => {
-                metrics.stage_batch_assembly.record(trace.batch_assembly_micros);
-                metrics.stage_shard_score.record(trace.max_shard_micros());
-                metrics.stage_merge.record(trace.merge_micros);
-                if trace.rerank_micros > 0 {
-                    metrics.stage_rerank.record(trace.rerank_micros);
-                }
-                for &(shard, micros) in &trace.shard_score_micros {
-                    metrics.shard(&shared.telemetry, shard).score_micros.record(micros);
-                }
-            }
+        metrics.stage_batch_assembly.record(trace.batch_assembly_micros);
+        metrics.stage_shard_score.record(trace.max_shard_micros());
+        metrics.stage_merge.record(trace.merge_micros);
+        if trace.rerank_micros > 0 {
+            metrics.stage_rerank.record(trace.rerank_micros);
+        }
+        for &(shard, micros) in &trace.shard_score_micros {
+            metrics.shard(&shared.telemetry, shard).score_micros.record(micros);
         }
     }
-    for (((enqueued, _deadline, slot), items), meta) in waiters.into_iter().zip(rankings).zip(metas) {
+    for ((enqueued, _deadline, slot), (items, meta)) in waiters.into_iter().zip(served) {
         let queue_micros = picked_up.duration_since(enqueued).as_micros() as u64;
         if let (Some(metrics), Some(trace)) = (&shared.metrics, &trace) {
             metrics.queue_micros.record(queue_micros);
@@ -613,163 +580,110 @@ fn serve_batch(
             service_micros,
             degraded: meta.degraded,
             shards_answered: meta.shards_answered,
-            clusters_probed: published.model.clusters_probed(),
+            clusters_probed: meta.clusters_probed,
         }));
     }
 }
 
-/// The classic full-fidelity path: one traced batched scoring call on the
-/// shared pool, panic-isolated per batch then per request.
-fn serve_classic(
-    shared: &ServerShared,
-    published: &PublishedModel,
-    requests: &[RecommendRequest],
-    scratch: &mut ServeScratch,
-    trace: Option<&mut StageTrace>,
-) -> (Vec<Vec<ScoredItem>>, Vec<ResponseMeta>) {
-    let num_shards = published.model.catalog().num_shards();
-    let pool = shared.config.parallel_shards.then(global_pool);
-    // A malformed request (unknown user, history the model rejects) panics
-    // inside the model's query builder. The dispatcher is the only serving
-    // thread, so a panic here must not unwind it: every waiter in the batch
-    // would block forever and the server would wedge. Catch the batch panic
-    // and retry each request solo so one poisoned request cannot take down
-    // its batch-mates.
-    match catch_unwind(AssertUnwindSafe(|| published.model.recommend_batch_traced(requests, pool, scratch, trace))) {
-        Ok(rankings) => {
-            let meta = ResponseMeta { degraded: false, shards_answered: num_shards };
-            (rankings, vec![meta; requests.len()])
-        }
-        Err(_) => {
-            // The panic may have unwound between marking and clearing the
-            // scratch's seen bitmap; restore the all-clear invariant before
-            // the solo retries.
-            scratch.reset();
-            solo_retry(shared, published, requests, num_shards)
-        }
-    }
-}
-
-/// Per-request panic isolation: each request is retried alone (the
-/// allocating path on purpose — this branch is cold), and a request that
-/// still panics is answered with an empty ranking **flagged degraded** so
+/// The server's one engine: builds the batch's score plan on the
+/// dispatcher, runs its per-shard steps on the bulkhead executor with at
+/// most [`SHARD_BUDGET_FRACTION`] of the batch's remaining deadline budget
+/// (every shard is awaited when there is no deadline), and merges per
+/// request. Shards that miss the budget or panic are dropped from the merge
+/// and the responses are flagged degraded; with every shard answering, a
+/// response is bit-identical to [`ServingModel::recommend_batch`].
+///
+/// Query assembly runs user code (the model's query closure). A request it
+/// panics on — an unknown user, a history the model rejects — or whose
+/// query has the wrong width is answered with an empty ranking **flagged
+/// degraded**, so one poisoned request cannot take down its batch-mates and
 /// the caller can tell it apart from a genuinely empty result.
-fn solo_retry(
+fn score_batch(
     shared: &ServerShared,
-    published: &PublishedModel,
-    requests: &[RecommendRequest],
-    num_shards: usize,
-) -> (Vec<Vec<ScoredItem>>, Vec<ResponseMeta>) {
-    let mut rankings = Vec::with_capacity(requests.len());
-    let mut metas = Vec::with_capacity(requests.len());
-    for request in requests {
-        match catch_unwind(AssertUnwindSafe(|| published.model.recommend(request))) {
-            Ok(items) => {
-                rankings.push(items);
-                metas.push(ResponseMeta { degraded: false, shards_answered: num_shards });
-            }
-            Err(_) => {
-                shared.counters.panic_isolated.inc();
-                rankings.push(Vec::new());
-                metas.push(ResponseMeta { degraded: true, shards_answered: 0 });
-            }
-        }
-    }
-    (rankings, metas)
-}
-
-/// The deadline-bounded path: shard blocks are scored on the bulkhead
-/// executor with at most `shard_budget_fraction` of the batch's remaining
-/// deadline budget; shards that miss it (or panic) are dropped from the
-/// merge and the response is flagged degraded. With every shard answering,
-/// the result is bit-identical to the classic path (see [`crate::degrade`]).
-#[allow(clippy::too_many_arguments)]
-fn serve_bounded(
-    shared: &ServerShared,
-    published: &PublishedModel,
+    model: &ServingModel,
     requests: &[RecommendRequest],
     picked_up: Instant,
     batch_deadline: Option<Instant>,
     executor: &mut Option<ShardExecutor>,
-    trace: Option<&mut StageTrace>,
-) -> (Vec<Vec<ScoredItem>>, Vec<ResponseMeta>) {
-    let model = &published.model;
+    mut trace: Option<&mut StageTrace>,
+) -> Vec<(Vec<ScoredItem>, ResponseMeta)> {
     let catalog = model.catalog_arc();
-    let num_shards = catalog.num_shards();
-    // Query assembly runs user code (the query closure) — panic-isolate it
-    // exactly like the classic path and fall back to solo retries.
     let assembly_started = Instant::now();
-    let queries = match catch_unwind(AssertUnwindSafe(|| {
-        let mut queries = Matrix::zeros(requests.len(), catalog.dim());
-        for (i, request) in requests.iter().enumerate() {
-            queries.row_mut(i).copy_from_slice(&model.query_vector(request.user, &request.history));
-        }
-        queries
-    })) {
-        Ok(queries) => queries,
-        Err(_) => return solo_retry(shared, published, requests, num_shards),
-    };
-    let assembly_micros = assembly_started.elapsed().as_micros() as u64;
-    let ks: Vec<usize> = requests.iter().map(|r| r.k).collect();
-    let seen: Vec<Option<&[usize]>> = requests.iter().map(|r| r.exclude_seen.then_some(r.history.as_slice())).collect();
-    let executor = executor.get_or_insert_with(|| {
-        ShardExecutor::new(match shared.config.shard_workers {
-            0 => num_shards.clamp(1, 8),
-            n => n,
+    let queries: Vec<Option<Vec<f32>>> = requests
+        .iter()
+        .map(|r| {
+            catch_unwind(AssertUnwindSafe(|| model.query_vector(r.user, &r.history)))
+                .ok()
+                .filter(|q| q.len() == catalog.dim())
         })
-    });
-    // The scoring stage gets a fraction of the remaining budget; the
-    // holdback covers ranking, merge and delivery.
-    let shard_deadline = batch_deadline.map(|deadline| {
-        let budget = deadline.saturating_duration_since(picked_up);
-        picked_up + budget.mul_f64(shared.config.shard_budget_fraction.clamp(0.05, 1.0))
-    });
-    let outcome = score_bounded(&catalog, queries, &ks, &seen, executor, shard_deadline, &shared.faults);
-    shared.counters.shard_deadline_miss.add(outcome.timed_out.len() as u64);
-    shared.counters.shard_panic.add(outcome.panicked.len() as u64);
-    if let Some(metrics) = &shared.metrics {
-        for &shard in &outcome.timed_out {
-            metrics.shard(&shared.telemetry, shard).deadline_miss.inc();
+        .collect();
+    let mut rows = Matrix::zeros(queries.iter().flatten().count(), catalog.dim());
+    for (row, query) in queries.iter().flatten().enumerate() {
+        rows.row_mut(row).copy_from_slice(query);
+    }
+    let plan = model.plan(rows, requests.iter().zip(&queries).filter(|(_, q)| q.is_some()).map(|(r, _)| r));
+    if let Some(trace) = trace.as_deref_mut() {
+        trace.batch_assembly_micros = assembly_started.elapsed().as_micros() as u64;
+    }
+    let poisoned = ResponseMeta { degraded: true, shards_answered: 0, clusters_probed: 0 };
+    let (rankings, meta) = if plan.len() == 0 {
+        (Vec::new(), poisoned)
+    } else {
+        let executor = executor.get_or_insert_with(|| ShardExecutor::new(catalog.num_shards().clamp(1, 8)));
+        let shard_deadline = batch_deadline
+            .map(|deadline| picked_up + deadline.saturating_duration_since(picked_up).mul_f64(SHARD_BUDGET_FRACTION));
+        let outcome = score_bounded(&catalog, Arc::new(plan), executor, shard_deadline, &shared.faults, trace);
+        shared.counters.shard_deadline_miss.add(outcome.timed_out.len() as u64);
+        shared.counters.shard_panic.add(outcome.panicked.len() as u64);
+        if let Some(metrics) = &shared.metrics {
+            for &shard in &outcome.timed_out {
+                metrics.shard(&shared.telemetry, shard).deadline_miss.inc();
+            }
         }
-    }
-    if let Some(trace) = trace {
-        trace.batch_assembly_micros = assembly_micros;
-        trace.shard_score_micros = outcome.shard_micros.clone();
-        trace.merge_micros = outcome.merge_micros;
-        trace.rerank_micros = outcome.rerank_micros;
-    }
-    let meta = ResponseMeta { degraded: outcome.degraded(), shards_answered: outcome.shards_answered };
-    (outcome.rankings, vec![meta; requests.len()])
+        let meta = ResponseMeta {
+            degraded: outcome.answered.len() < catalog.num_shards(),
+            shards_answered: outcome.answered.len(),
+            clusters_probed: catalog.clusters_probed_by(outcome.answered.iter().copied()),
+        };
+        (outcome.rankings, meta)
+    };
+    let mut rankings = rankings.into_iter();
+    queries
+        .iter()
+        .map(|query| match query {
+            Some(_) => (rankings.next().unwrap_or_default(), meta),
+            None => {
+                shared.counters.panic_isolated.inc();
+                (Vec::new(), poisoned)
+            }
+        })
+        .collect()
 }
 
 /// Shapes one request's timing into the flight-recorder span tree:
 /// `request → {queue, service → {batch_assembly, shard_score → {shard_i…},
-/// merge, rerank}}` (or `service → {solo_gemv}` on the batch-of-1 path).
-/// Stage offsets are laid out sequentially from the measured durations —
-/// parallel shard children share the `shard_score` start offset.
+/// merge, rerank}}`, for a batch of one as for any other. Stage offsets are
+/// laid out sequentially from the measured durations — parallel shard
+/// children share the `shard_score` start offset.
 fn request_span_tree(queue_micros: u64, service_micros: u64, trace: &StageTrace) -> SpanTree {
-    let mut service = SpanTree::leaf("service", queue_micros, service_micros);
-    match trace.solo_micros {
-        Some(solo) => {
-            service = service.with_child(SpanTree::leaf("solo_gemv", queue_micros, solo));
-        }
-        None => {
-            let mut at = queue_micros;
-            service = service.with_child(SpanTree::leaf("batch_assembly", at, trace.batch_assembly_micros));
-            at += trace.batch_assembly_micros;
-            let score_wall = trace.max_shard_micros();
-            let mut score = SpanTree::leaf("shard_score", at, score_wall);
-            for &(s, micros) in &trace.shard_score_micros {
-                score = score.with_child(SpanTree::leaf(format!("shard_{s}"), at, micros));
-            }
-            service = service.with_child(score);
-            at += score_wall;
-            service = service.with_child(SpanTree::leaf("merge", at, trace.merge_micros));
-            at += trace.merge_micros;
-            if trace.rerank_micros > 0 {
-                service = service.with_child(SpanTree::leaf("rerank", at, trace.rerank_micros));
-            }
-        }
+    let mut at = queue_micros;
+    let mut service = SpanTree::leaf("service", queue_micros, service_micros).with_child(SpanTree::leaf(
+        "batch_assembly",
+        at,
+        trace.batch_assembly_micros,
+    ));
+    at += trace.batch_assembly_micros;
+    let score_wall = trace.max_shard_micros();
+    let mut score = SpanTree::leaf("shard_score", at, score_wall);
+    for &(s, micros) in &trace.shard_score_micros {
+        score = score.with_child(SpanTree::leaf(format!("shard_{s}"), at, micros));
+    }
+    service = service.with_child(score);
+    at += score_wall;
+    service = service.with_child(SpanTree::leaf("merge", at, trace.merge_micros));
+    at += trace.merge_micros;
+    if trace.rerank_micros > 0 {
+        service = service.with_child(SpanTree::leaf("rerank", at, trace.rerank_micros));
     }
     SpanTree::leaf("request", 0, queue_micros + service_micros)
         .with_child(SpanTree::leaf("queue", 0, queue_micros))
@@ -1052,6 +966,15 @@ mod tests {
                 tree.render()
             );
         }
+        // A lone request records the same stages as any batch: one child per
+        // shard under shard_score, then the merge.
+        assert_eq!(server.submit(RecommendRequest::new(3, vec![3], 5)).expect("admitted").items.len(), 5);
+        let solo = flight.last(1).pop().expect("the lone request left a tree");
+        let shards: Vec<&str> = solo
+            .find("shard_score")
+            .map_or(Vec::new(), |score| score.children.iter().map(|c| c.name.as_str()).collect());
+        assert_eq!(shards, ["shard_0", "shard_1", "shard_2", "shard_3"], "unexpected span shape:\n{}", solo.render());
+        assert!(solo.find("merge").is_some(), "unexpected span shape:\n{}", solo.render());
     }
 
     /// The shutdown race: a request admitted concurrently with shutdown must

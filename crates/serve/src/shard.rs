@@ -1,4 +1,5 @@
-//! Row-wise sharding of the candidate matrix and exact top-k merging.
+//! Row-wise sharding of the candidate matrix and the score plan that serves
+//! it.
 //!
 //! The scoring head of every model in this workspace is `r = q · Wᵀ`: a
 //! per-user query against the rows of the candidate-embedding matrix `W`.
@@ -6,6 +7,29 @@
 //! [`Shard`]s, score each shard independently with the existing GEMV/GEMM
 //! kernels, rank each shard locally, and merge the per-shard top-k lists
 //! into the global top-k with a k-way heap.
+//!
+//! ## The score plan
+//!
+//! Every entry point — [`ShardedCatalog::top_k`] / [`top_k_batch`] /
+//! [`quantized_top_k`], `ServingModel::recommend` / `recommend_batch` and
+//! the server — serves through one plan of two steps:
+//!
+//! * **per shard** (`ShardedCatalog::score_shard`): route (an IVF shard
+//!   picks each request's top-`nprobe` clusters; a flat shard is one
+//!   panel), scan the visited panels (f32 or int8; a GEMV for a one-row
+//!   batch, a GEMM otherwise), and the masked select of each request's
+//!   shortlist;
+//! * **per request** (`ShardedCatalog::merge_requests`): the k-way merge
+//!   of the shortlists of the shards that answered, then the exact re-rank
+//!   on the int8 tier.
+//!
+//! Tiers are parameters of the plan (`ScorePlan`), not method families;
+//! the only execution parameter is where the per-shard steps run — inline
+//! on the caller, on a pool scope, or on the server's deadline-bounded
+//! executor (`degrade`).
+//!
+//! [`top_k_batch`]: ShardedCatalog::top_k_batch
+//! [`quantized_top_k`]: ShardedCatalog::quantized_top_k
 //!
 //! ## Exactness
 //!
@@ -28,14 +52,14 @@
 //! ## The quantized candidate path
 //!
 //! [`ShardedCatalog::with_quantization`] snapshots every shard's rows as an
-//! int8 [`QuantizedMatrix`] panel alongside the f32 original. The quantized
-//! serving path ([`ShardedCatalog::quantized_top_k_with_buf`]) then scores
-//! each shard against the i8 panel (¼ of the memory traffic), pre-selects the
-//! quantized top-`2k` per shard through the same fused mask+select kernel,
-//! merges, and **re-ranks the merged candidates with the exact f32 per-row
-//! dot** — the very kernel chain the exact GEMV path uses — so the served
-//! top-k is bit-identical to the exact path whenever the exact winners
-//! survive the 2k pre-selection (the recall guardrail pinned by the serving
+//! int8 [`QuantizedMatrix`] panel alongside the f32 original. An int8 plan
+//! ([`ShardedCatalog::quantized_top_k`]) then scores each shard against the
+//! i8 panel (¼ of the memory traffic), pre-selects the quantized top-`2k`
+//! per shard through the same fused mask+select kernel, merges, and
+//! **re-ranks the merged candidates with the exact f32 per-row dot** — the
+//! very kernel chain the exact GEMV path uses — so the served top-k is
+//! bit-identical to the exact path whenever the exact winners survive the
+//! 2k pre-selection (the recall guardrail pinned by the serving
 //! test-suite, not a silent approximation). Quantized pre-selection scores
 //! are integer-accumulated and therefore bit-identical across tiers and
 //! shard counts by construction.
@@ -43,12 +67,11 @@
 use crate::ivf::{ClusterIndex, IvfConfig, PROBE_ALL};
 use crate::trace::StageTrace;
 use ham_data::dataset::ItemId;
-use ham_faults::{FaultInjector, ShardFault};
 use ham_tensor::kernels;
 use ham_tensor::ops::{top_k_indices, top_k_indices_masked, top_k_indices_masked_with};
 use ham_tensor::pool::ThreadPool;
 use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One recommended item with its model score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,6 +124,68 @@ impl Shard {
     /// Number of IVF clusters over this shard (0 when no index was built).
     pub fn num_clusters(&self) -> usize {
         self.ivf.as_ref().map_or(0, ClusterIndex::num_clusters)
+    }
+
+    /// Panel `j` of the shard: IVF cluster `j`, or the whole shard when it
+    /// carries no index (then `j` is 0, the only panel).
+    fn panel(&self, j: usize) -> Panel<'_> {
+        match &self.ivf {
+            Some(index) => Panel { rows: index.panel(j), qrows: index.qpanel(j), ids: Some(index.cluster_ids(j)) },
+            None => Panel { rows: &self.rows, qrows: self.quantized.as_ref(), ids: None },
+        }
+    }
+
+    /// Number of panels a request can visit.
+    fn num_panels(&self) -> usize {
+        self.ivf.as_ref().map_or(1, ClusterIndex::num_clusters)
+    }
+
+    /// Length of the longest panel (score-buffer sizing).
+    fn max_panel_len(&self) -> usize {
+        self.ivf.as_ref().map_or(self.len(), ClusterIndex::max_panel_len)
+    }
+}
+
+/// One scan unit of a shard: the whole shard, or one IVF cluster panel.
+struct Panel<'a> {
+    rows: &'a Matrix,
+    /// The int8 snapshot of `rows` (`None` on an unquantized catalogue).
+    qrows: Option<&'a QuantizedMatrix>,
+    /// Shard-local id of each panel row, ascending (`None`: the whole shard,
+    /// where the panel row is the shard row).
+    ids: Option<&'a [usize]>,
+}
+
+impl Panel<'_> {
+    fn len(&self) -> usize {
+        self.rows.rows()
+    }
+
+    fn qrows(&self) -> &QuantizedMatrix {
+        // ham-lint: allow(panic, "int8 plans are only built for quantized catalogues, whose panels are all snapshotted")
+        self.qrows.expect("int8 scan of an unquantized catalogue")
+    }
+
+    /// The one-row scan: query row `i` of `plan` against every panel row
+    /// (f32 or int8 GEMV) into `out`.
+    fn scan_into(&self, plan: &ScorePlan, i: usize, out: &mut [f32]) {
+        match &plan.qqueries {
+            Some(qq) => kernels::quantized_matvec_into(self.qrows(), &qq[i], out),
+            None => self.rows.matvec_transposed_into(plan.queries.row(i), out),
+        }
+    }
+
+    /// The batched scan: every query row of `plan` against every panel row
+    /// (f32 or int8 packed-panel GEMM), a `batch × len` block.
+    fn scan_batch(&self, plan: &ScorePlan) -> Matrix {
+        match &plan.qqueries {
+            Some(qq) => {
+                let mut block = Matrix::zeros(qq.len(), self.len());
+                kernels::quantized_matmul_transposed_into(qq, self.qrows(), &mut block);
+                block
+            }
+            None => plan.queries.matmul_transposed(self.rows),
+        }
     }
 }
 
@@ -201,10 +286,16 @@ impl ShardedCatalog {
     /// clusters, never how many), so responses can report it as retrieval
     /// metadata. 0 when the catalogue is unclustered (exact serving).
     pub fn clusters_probed(&self) -> usize {
+        self.clusters_probed_by(0..self.shards.len())
+    }
+
+    /// [`Self::clusters_probed`] summed over `shards` only — what a
+    /// response that dropped shards actually visited.
+    pub(crate) fn clusters_probed_by(&self, shards: impl IntoIterator<Item = usize>) -> usize {
         if !self.is_clustered() {
             return 0;
         }
-        self.shards.iter().map(|s| self.nprobe.min(s.num_clusters())).sum()
+        shards.into_iter().map(|s| self.nprobe.min(self.shards[s].num_clusters())).sum()
     }
 
     /// Whether the shards carry int8 panels ([`Self::with_quantization`]).
@@ -232,203 +323,15 @@ impl ShardedCatalog {
         &self.shards
     }
 
-    /// Scores one query against one shard (fused GEMV over the shard rows).
-    pub fn shard_scores(&self, shard: usize, query: &[f32]) -> Vec<f32> {
-        self.shards[shard].rows.matvec_transposed(query)
-    }
-
-    /// [`Self::shard_scores`] into a caller-provided buffer (overwritten) —
-    /// the serving hot path reuses one buffer across shards and requests
-    /// instead of allocating a fresh `Vec` per GEMV.
+    /// Scores one query against one shard into a caller-provided buffer
+    /// (overwritten) — the fused GEMV of the one-row scan, exposed so a
+    /// caller can time the scan apart from the select.
     ///
     /// # Panics
     /// Panics if `out.len()` is not the shard's length.
     // ham-lint: hot-path
     pub fn shard_scores_into(&self, shard: usize, query: &[f32], out: &mut [f32]) {
         self.shards[shard].rows.matvec_transposed_into(query, out);
-    }
-
-    /// Scores a query batch against one shard (packed-panel GEMM), returning
-    /// a `queries.rows() × shard_len` block.
-    pub fn shard_scores_batch(&self, shard: usize, queries: &Matrix) -> Matrix {
-        queries.matmul_transposed(&self.shards[shard].rows)
-    }
-
-    /// The degraded path's per-shard scoring unit: applies any injected
-    /// fault for `shard` (a [`ShardFault::Delay`] sleeps cooperatively, a
-    /// [`ShardFault::Panic`] panics — the caller runs this under
-    /// `catch_unwind`), then scores the whole query block against the shard.
-    ///
-    /// Scoring picks the kernel by batch size so the result is bit-identical
-    /// to the corresponding exact path: a single query goes through the
-    /// fused GEMV (`matvec_transposed` / `quantized_matvec_into`, the very
-    /// kernels `top_k_with_buf` uses — GEMM-of-one-row is *not* bit-equal to
-    /// GEMV), a larger batch through the packed-panel GEMM the batched paths
-    /// use. `qqueries` must be `Some` exactly when the catalogue is
-    /// quantized.
-    ///
-    /// Returns `None` when `cancelled` turned true during an injected delay:
-    /// the batch already gave up on this shard, so the remaining sleep and
-    /// the scoring work are skipped to free the executor worker quickly.
-    ///
-    /// On a clustered catalogue the shard routes, scores and **ranks**
-    /// in-task ([`ShardBlock::Ranked`]): the coordinator has no dense block
-    /// to rank unvisited rows from, so the per-request shortlists (to
-    /// `select_ks[i]`, seen items masked via `seen_items[i]`) come back
-    /// pre-built — computed with the very same routing GEMV, panel kernels
-    /// and fused mask+select as the unbounded IVF paths, so an undegraded
-    /// bounded response stays bit-identical to the classic one.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn score_shard_block_faulted(
-        &self,
-        shard: usize,
-        queries: &Matrix,
-        qqueries: Option<&[QuantizedQuery]>,
-        select_ks: &[usize],
-        seen_items: &[Option<Vec<ItemId>>],
-        faults: &FaultInjector,
-        cancelled: &dyn Fn() -> bool,
-    ) -> Option<ShardBlock> {
-        match faults.shard_fault(shard) {
-            Some(ShardFault::Delay(delay)) => {
-                // Sleep in small slices, checking for cancellation between
-                // them: a shard whose batch already timed out must stop
-                // clogging the bulkhead executor within ~1ms, not `delay`.
-                let until = Instant::now() + delay;
-                loop {
-                    if cancelled() {
-                        return None;
-                    }
-                    let now = Instant::now();
-                    if now >= until {
-                        break;
-                    }
-                    std::thread::sleep((until - now).min(Duration::from_millis(1)));
-                }
-            }
-            Some(ShardFault::Panic) => panic!("ham-faults: injected panic in shard {shard}"),
-            None => {}
-        }
-        if cancelled() {
-            return None;
-        }
-        let b = queries.rows();
-        let s = &self.shards[shard];
-        if s.ivf.is_some() {
-            return Some(ShardBlock::Ranked(
-                self.ivf_rank_shard_in_task(shard, queries, qqueries, select_ks, seen_items),
-            ));
-        }
-        Some(ShardBlock::Dense(match qqueries {
-            Some(qq) => {
-                // ham-lint: allow(panic, "callers gate on catalogue quantization; the panel is built at construction")
-                let panel = s.quantized.as_ref().expect("quantized scoring on an unquantized catalogue");
-                let mut block = Matrix::zeros(b, panel.rows());
-                if b == 1 {
-                    kernels::quantized_matvec_into(panel, &qq[0], block.row_mut(0));
-                } else {
-                    kernels::quantized_matmul_transposed_into(qq, panel, &mut block);
-                }
-                block
-            }
-            None if b == 1 => Matrix::from_vec(1, s.len(), s.rows.matvec_transposed(queries.row(0))),
-            None => queries.matmul_transposed(&s.rows),
-        }))
-    }
-
-    /// The clustered half of [`Self::score_shard_block_faulted`]: routes,
-    /// scores and ranks one shard's batch entirely inside the bulkhead task.
-    /// Kernel choice follows the batch size exactly like the dense path —
-    /// per-cluster GEMV for a batch of one (matching the solo IVF path's
-    /// bits), per-cluster packed GEMM otherwise (matching the batched IVF
-    /// path's bits).
-    fn ivf_rank_shard_in_task(
-        &self,
-        shard: usize,
-        queries: &Matrix,
-        qqueries: Option<&[QuantizedQuery]>,
-        select_ks: &[usize],
-        seen_items: &[Option<Vec<ItemId>>],
-    ) -> Vec<Vec<ScoredItem>> {
-        let b = queries.rows();
-        let s = &self.shards[shard];
-        // ham-lint: allow(panic, "only called for shards the IVF dispatch selected, which requires the index")
-        let index = s.ivf.as_ref().expect("ivf_rank_shard_in_task on an unclustered shard");
-        let c = index.num_clusters();
-        if c == 0 {
-            return vec![Vec::new(); b];
-        }
-        let probe = self.nprobe.min(c);
-        let mut union = vec![false; c];
-        let visited: Vec<Vec<usize>> = (0..b)
-            .map(|i| {
-                let route = index.centroids().matvec_transposed(queries.row(i));
-                let v = top_k_indices(&route, probe);
-                for &j in &v {
-                    union[j] = true;
-                }
-                v
-            })
-            .collect();
-        let blocks: Vec<Option<Matrix>> = (0..c)
-            .map(|j| {
-                if !union[j] {
-                    return None;
-                }
-                Some(match qqueries {
-                    Some(qq) => {
-                        let panel = index.qpanel(j);
-                        let mut block = Matrix::zeros(b, panel.rows());
-                        if b == 1 {
-                            kernels::quantized_matvec_into(panel, &qq[0], block.row_mut(0));
-                        } else {
-                            kernels::quantized_matmul_transposed_into(qq, panel, &mut block);
-                        }
-                        block
-                    }
-                    None if b == 1 => Matrix::from_vec(
-                        1,
-                        index.cluster_ids(j).len(),
-                        index.panel(j).matvec_transposed(queries.row(0)),
-                    ),
-                    None => queries.matmul_transposed(index.panel(j)),
-                })
-            })
-            .collect();
-        // Shard-local seen bitmap, marked and cleared per request in
-        // O(history ∩ shard).
-        let mut local_seen = vec![false; s.len()];
-        let mark = |bits: &mut [bool], items: &[ItemId], value: bool| {
-            for &item in items {
-                if item >= s.offset && item < s.offset + bits.len() {
-                    bits[item - s.offset] = value;
-                }
-            }
-        };
-        let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            let seen = seen_items[i].as_deref();
-            if let Some(items) = seen {
-                mark(&mut local_seen, items, true);
-            }
-            let mut lists = Vec::with_capacity(visited[i].len());
-            for &j in &visited[i] {
-                // ham-lint: allow(panic, "the loop above scored every visited cluster before ranking")
-                let block = blocks[j].as_ref().expect("visited cluster left unscored");
-                lists.push(rank_panel(
-                    s.offset,
-                    index.cluster_ids(j),
-                    block.row(i),
-                    select_ks[i],
-                    seen.is_some().then_some(local_seen.as_slice()),
-                ));
-            }
-            if let Some(items) = seen {
-                mark(&mut local_seen, items, false);
-            }
-            out.push(merge_top_k(&lists, select_ks[i]));
-        }
-        out
     }
 
     /// Ranks one shard's score slice locally: top `min(k, len)` items as
@@ -443,31 +346,7 @@ impl ShardedCatalog {
             shard_scores.len(),
             s.len()
         );
-        let local_seen = seen.map(|bits| &bits[s.offset..s.offset + s.len()]);
-        let local = match local_seen {
-            Some(bits) => top_k_indices_masked(shard_scores, k, bits),
-            None => top_k_indices(shard_scores, k),
-        };
-        local
-            .into_iter()
-            .map(|l| {
-                let masked = local_seen.is_some_and(|bits| bits[l]);
-                let score = if masked { f32::NEG_INFINITY } else { shard_scores[l] };
-                ScoredItem { item: s.offset + l, score }
-            })
-            .collect()
-    }
-
-    /// Index of the only non-empty shard, when there is exactly one — the
-    /// degenerate layout where per-shard ranking already *is* the global
-    /// ranking and the k-way merge (and the parallel fan-out) can be
-    /// bypassed.
-    fn sole_active_shard(&self) -> Option<usize> {
-        let mut active = self.shards.iter().enumerate().filter(|(_, s)| !s.is_empty());
-        match (active.next(), active.next()) {
-            (Some((s, _)), None) => Some(s),
-            _ => None,
-        }
+        select(s.offset, None, shard_scores, k, seen.map(|bits| &bits[s.offset..s.offset + s.len()]))
     }
 
     /// Exact global top-k for one query: per-shard GEMV + local ranking,
@@ -475,370 +354,213 @@ impl ShardedCatalog {
     /// `num_items`) or `None` to rank the full catalogue.
     ///
     /// Bit-identical to scoring the unsharded matrix and ranking once, for
-    /// any shard count.
+    /// any shard count; on a clustered catalogue with `nprobe = all` too.
     pub fn top_k(&self, query: &[f32], k: usize, seen: Option<&[bool]>) -> Vec<ScoredItem> {
-        self.top_k_with_buf(query, k, seen, &mut Vec::new())
+        self.top_k_one(query, k, seen, false)
     }
 
-    /// [`Self::top_k`] with a caller-provided score buffer: every shard GEMV
-    /// writes into `scores_buf` (grown once to the largest shard, then
-    /// reused), so a serving loop holding the buffer performs no score
-    /// allocation per request.
-    // ham-lint: hot-path
-    pub fn top_k_with_buf(
-        &self,
-        query: &[f32],
-        k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut Vec<f32>,
-    ) -> Vec<ScoredItem> {
-        if self.is_clustered() {
-            // ham-lint: allow(alloc, "IVF fallback only — the serving loop passes a scratch route_buf instead")
-            return self.ivf_top_k_with_buf(query, k, seen, scores_buf, &mut Vec::new());
-        }
-        let max_len = self.shards.iter().map(Shard::len).max().unwrap_or(0);
-        if scores_buf.len() < max_len {
-            scores_buf.resize(max_len, 0.0);
-        }
-        if let Some(s) = self.sole_active_shard() {
-            let scores = &mut scores_buf[..self.shards[s].len()];
-            self.shard_scores_into(s, query, scores);
-            return self.shard_top_k(s, scores, k, seen);
-        }
-        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len())
-            .map(|s| {
-                let scores = &mut scores_buf[..self.shards[s].len()];
-                self.shard_scores_into(s, query, scores);
-                self.shard_top_k(s, scores, k, seen)
-            })
-            // ham-lint: allow(alloc, "the returned per-shard rankings are the response payload, k elements each")
-            .collect();
-        merge_top_k(&per_shard, k)
-    }
-
-    /// Global top-k through the quantized candidate path: per-shard int8
-    /// GEMV pre-selection of the quantized top-`2k`, k-way merge, then an
-    /// **exact f32 re-rank** of the merged candidates.
+    /// Global top-k through the int8 tier: per-shard int8 GEMV pre-selection
+    /// of the quantized top-`2k`, k-way merge, then an **exact f32 re-rank**
+    /// of the merged candidates.
     ///
     /// The re-rank scores each candidate with the same dispatched per-row
     /// dot kernel the exact GEMV path uses, and ranks with the same
     /// comparator — so whenever every exact winner survives the quantized
     /// 2k pre-selection (the recall guardrail the serving tests pin), the
-    /// result is bit-identical, ids and order, to [`Self::top_k`]. The
-    /// pre-selection itself is integer-accumulated and bit-identical across
-    /// tiers and shard counts by construction.
-    ///
-    /// `qquery` is the reusable query-quantization scratch
-    /// (re-quantized in place from `query` on every call).
+    /// result is bit-identical, ids and order, to [`Self::top_k`].
     ///
     /// # Panics
     /// Panics if the catalogue was not quantized
     /// ([`Self::with_quantization`]).
-    pub fn quantized_top_k_with_buf(
-        &self,
-        query: &[f32],
-        k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut Vec<f32>,
-        qquery: &mut QuantizedQuery,
-    ) -> Vec<ScoredItem> {
-        if self.is_clustered() {
-            return self.ivf_quantized_top_k_with_buf(query, k, seen, scores_buf, qquery, &mut Vec::new());
-        }
-        let pre_k = k.saturating_mul(2);
-        qquery.requantize(query);
-        let max_len = self.shards.iter().map(Shard::len).max().unwrap_or(0);
-        if scores_buf.len() < max_len {
-            scores_buf.resize(max_len, 0.0);
-        }
-        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len())
-            .map(|s| {
-                // ham-lint: allow(panic, "callers gate on catalogue quantization; the panel is built at construction")
-                let panel = self.shards[s].quantized.as_ref().expect("quantized_top_k on an unquantized catalogue");
-                let scores = &mut scores_buf[..self.shards[s].len()];
-                kernels::quantized_matvec_into(panel, qquery, scores);
-                self.shard_top_k(s, scores, pre_k, seen)
-            })
-            .collect();
-        let candidates = merge_top_k(&per_shard, pre_k);
-        self.rerank_exact(candidates, query, k, seen)
+    pub fn quantized_top_k(&self, query: &[f32], k: usize, seen: Option<&[bool]>) -> Vec<ScoredItem> {
+        assert!(self.is_quantized(), "quantized_top_k on an unquantized catalogue");
+        self.top_k_one(query, k, seen, true)
     }
 
-    /// Exact-or-approximate global top-k through the cluster-routed IVF
-    /// paths: per shard, one centroid GEMV routes to the top-`nprobe`
-    /// clusters, only those panels are scored (per-row GEMV — the same
-    /// kernel, so panel scores equal shard scores bit for bit), each panel
-    /// is ranked through the fused mask+select with the panel→global id
-    /// translation, and the per-cluster shortlists run through the usual
-    /// k-way merge. With `nprobe = all` this is bit-identical — ids, order,
-    /// scores — to [`Self::top_k_with_buf`] (pinned by the serving suite).
-    ///
-    /// `route_buf` is the reusable centroid-score buffer (grown once to the
-    /// largest per-shard cluster count), so a serving loop holding a scratch
-    /// performs no score allocation per request.
+    /// One query through the plan, inline on the caller; the seen bitmap
+    /// becomes the plan's seen list.
+    fn top_k_one(&self, query: &[f32], k: usize, seen: Option<&[bool]>, int8: bool) -> Vec<ScoredItem> {
+        let seen = seen.map(|bits| (0..self.num_items).filter(|&item| bits[item]).collect());
+        let plan = ScorePlan::new(Matrix::row_vector(query), vec![k], vec![seen], int8);
+        self.run(&plan, None).pop().unwrap_or_default()
+    }
+
+    /// Exact global top-k for a query batch: one packed-panel GEMM per shard
+    /// (shards scored in parallel on `pool` when given), then per-row local
+    /// ranking and merging. `ks[i]` and `seen_items[i]` apply to query row
+    /// `i`; a row's seen items are the item ids to exclude (`None` ranks the
+    /// full catalogue; ids outside the catalogue are ignored). A one-row
+    /// batch takes the GEMV of [`Self::top_k`].
     ///
     /// # Panics
-    /// Panics if no cluster index was built ([`Self::with_cluster_index`]).
-    pub fn ivf_top_k_with_buf(
-        &self,
-        query: &[f32],
-        k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut Vec<f32>,
-        route_buf: &mut Vec<f32>,
-    ) -> Vec<ScoredItem> {
-        self.grow_ivf_bufs(scores_buf, route_buf);
-        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len())
-            .map(|s| self.ivf_shard_candidates(s, query, k, seen, scores_buf, route_buf, None))
-            .collect();
-        merge_top_k(&per_shard, k)
-    }
-
-    /// The quantized composition of the IVF path: routing and cluster
-    /// selection as in [`Self::ivf_top_k_with_buf`], but each visited panel
-    /// is scored through its int8 snapshot pre-selecting the quantized
-    /// top-`2k`, and the merged candidates get the **exact f32 re-rank** —
-    /// so the int8 path becomes sub-linear too, with the same recall
-    /// guardrail semantics as shard-level quantized serving.
-    ///
-    /// # Panics
-    /// Panics if the catalogue was not both quantized and clustered.
-    pub fn ivf_quantized_top_k_with_buf(
-        &self,
-        query: &[f32],
-        k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut Vec<f32>,
-        qquery: &mut QuantizedQuery,
-        route_buf: &mut Vec<f32>,
-    ) -> Vec<ScoredItem> {
-        let pre_k = k.saturating_mul(2);
-        qquery.requantize(query);
-        self.grow_ivf_bufs(scores_buf, route_buf);
-        let per_shard: Vec<Vec<ScoredItem>> = (0..self.shards.len())
-            .map(|s| self.ivf_shard_candidates(s, query, pre_k, seen, scores_buf, route_buf, Some(qquery)))
-            .collect();
-        let candidates = merge_top_k(&per_shard, pre_k);
-        self.rerank_exact(candidates, query, k, seen)
-    }
-
-    /// Grows the score and routing buffers to the largest panel / cluster
-    /// count across shards (once; subsequent calls are no-ops).
-    fn grow_ivf_bufs(&self, scores_buf: &mut Vec<f32>, route_buf: &mut Vec<f32>) {
-        let max_panel = self.shards.iter().filter_map(|s| s.ivf.as_ref()).map(ClusterIndex::max_panel_len).max();
-        let max_clusters = self.shards.iter().map(Shard::num_clusters).max().unwrap_or(0);
-        if let Some(max_panel) = max_panel {
-            if scores_buf.len() < max_panel {
-                scores_buf.resize(max_panel, 0.0);
-            }
-        }
-        if route_buf.len() < max_clusters {
-            route_buf.resize(max_clusters, 0.0);
-        }
-    }
-
-    /// One shard's IVF shortlist for one query: route, visit the top-`nprobe`
-    /// clusters, rank each visited panel to `select_k` (through the int8
-    /// panel when `qquery` is given), and merge the per-cluster lists into
-    /// the shard's top-`select_k`. Masked items participate at `-inf` through
-    /// the panel-local→global id translation, so tie-breaks and degenerate
-    /// padding match the shard-level fused mask+select exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn ivf_shard_candidates(
-        &self,
-        s: usize,
-        query: &[f32],
-        select_k: usize,
-        seen: Option<&[bool]>,
-        scores_buf: &mut [f32],
-        route_buf: &mut [f32],
-        qquery: Option<&QuantizedQuery>,
-    ) -> Vec<ScoredItem> {
-        let shard = &self.shards[s];
-        // ham-lint: allow(panic, "IVF entry points are only reachable on clustered catalogues")
-        let index = shard.ivf.as_ref().expect("IVF serving on a catalogue without a cluster index");
-        let c = index.num_clusters();
-        if c == 0 {
-            return Vec::new();
-        }
-        let route = &mut route_buf[..c];
-        index.centroids().matvec_transposed_into(query, route);
-        let visited = top_k_indices(route, self.nprobe.min(c));
-        let local_seen = seen.map(|bits| &bits[shard.offset..shard.offset + shard.len()]);
-        let mut lists = Vec::with_capacity(visited.len());
-        for j in visited {
-            let ids = index.cluster_ids(j);
-            let scores = &mut scores_buf[..ids.len()];
-            match qquery {
-                Some(qq) => kernels::quantized_matvec_into(index.qpanel(j), qq, scores),
-                None => index.panel(j).matvec_transposed_into(query, scores),
-            }
-            lists.push(rank_panel(shard.offset, ids, scores, select_k, local_seen));
-        }
-        merge_top_k(&lists, select_k)
-    }
-
-    /// The batched IVF path shared by [`Self::top_k_batch_traced`] and
-    /// [`Self::quantized_top_k_batch_traced`] on clustered catalogues: per
-    /// shard, every request routes with its own centroid GEMV (the same
-    /// kernel and bits as the solo path — batching never changes *which*
-    /// clusters a request visits), then the union of visited clusters is
-    /// scored with one packed-panel GEMM per cluster over the whole batch.
-    /// Panel GEMM bits equal the shard GEMM bits row for row (ascending-`k`
-    /// accumulation is grouping-independent), so at `nprobe = all` this is
-    /// bit-identical to the dense batched paths.
-    fn ivf_top_k_batch_traced(
+    /// Panics if `ks` or `seen_items` do not have one entry per query row.
+    pub fn top_k_batch(
         &self,
         queries: &Matrix,
         ks: &[usize],
         seen_items: &[Option<&[ItemId]>],
         pool: Option<&ThreadPool>,
-        trace: Option<&mut StageTrace>,
-        quantized: bool,
     ) -> Vec<Vec<ScoredItem>> {
         let b = queries.rows();
-        let qqueries: Option<Vec<QuantizedQuery>> =
-            quantized.then(|| (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect());
-        let mut blocks: Vec<Option<(IvfShardBlock, u64)>> = self.shards.iter().map(|_| None).collect();
-        let parallel_useful = self.shards.iter().filter(|s| !s.is_empty()).count() > 1;
-        let score_shard = |s: usize| {
-            let started = Instant::now();
-            let block = self.ivf_score_shard_batch(s, queries, qqueries.as_deref());
-            (block, started.elapsed().as_micros() as u64)
-        };
+        assert_eq!(ks.len(), b, "top_k_batch: {} k values for {} queries", ks.len(), b);
+        assert_eq!(seen_items.len(), b, "top_k_batch: {} seen lists for {} queries", seen_items.len(), b);
+        let seen = seen_items.iter().map(|items| items.map(<[ItemId]>::to_vec)).collect();
+        self.run(&ScorePlan::new(queries.clone(), ks.to_vec(), seen, false), pool)
+    }
+
+    /// Runs `plan`: every shard's step inline on the caller or — given a
+    /// `pool` and more than one non-empty shard — in parallel on
+    /// `pool.scope`, then the per-request step.
+    pub(crate) fn run(&self, plan: &ScorePlan, pool: Option<&ThreadPool>) -> Vec<Vec<ScoredItem>> {
+        let mut shortlists: Vec<Shortlists> = vec![Vec::new(); self.shards.len()];
         match pool {
-            Some(pool) if parallel_useful => pool.scope(|scope| {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    let score_shard = &score_shard;
-                    scope.spawn(move || *block = Some(score_shard(s)));
+            Some(pool) if self.shards.iter().filter(|s| !s.is_empty()).count() > 1 => pool.scope(|scope| {
+                for (s, lists) in shortlists.iter_mut().enumerate() {
+                    scope.spawn(move || *lists = self.score_shard(s, plan, &mut ShardScratch::default()));
                 }
             }),
             _ => {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    *block = Some(score_shard(s));
+                let mut scratch = ShardScratch::default();
+                for (s, lists) in shortlists.iter_mut().enumerate() {
+                    *lists = self.score_shard(s, plan, &mut scratch);
                 }
             }
         }
-        let mut shard_micros = Vec::new();
-        let blocks: Vec<IvfShardBlock> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(s, b)| {
-                // ham-lint: allow(panic, "pool.scope joins every spawned task; each task fills its slot before returning")
-                let (block, micros) = b.expect("shard scoring task never ran");
-                shard_micros.push((s, micros));
-                block
-            })
-            .collect();
-        let rank_started = trace.is_some().then(Instant::now);
-        let mut rerank_micros = 0u64;
-        let mut scratch = vec![false; self.num_items];
+        self.merge_requests(plan, shortlists, None)
+    }
+
+    /// The per-shard step of the plan: route (an IVF shard picks each
+    /// request's top-`nprobe` clusters with a centroid GEMV; a flat shard is
+    /// one panel), scan the visited panels (f32 or int8; a GEMV per panel
+    /// for a one-row plan, one GEMM per visited panel over the whole batch
+    /// otherwise), then select each request's masked top-`select_k` as
+    /// global ids — its shortlist for the per-request merge. Seen items
+    /// take part at `-inf` through the panel→global id translation, so
+    /// tie-breaks and degenerate padding match the single-node select.
+    ///
+    /// Score, route and seen-bitmap buffers come from `scratch`, which the
+    /// caller reuses across requests.
+    // ham-lint: hot-path
+    pub(crate) fn score_shard(&self, s: usize, plan: &ScorePlan, scratch: &mut ShardScratch) -> Shortlists {
+        let shard = &self.shards[s];
+        let b = plan.len();
+        if shard.is_empty() {
+            // ham-lint: allow(alloc, "an empty shard answers with an empty shortlist per request")
+            return vec![Vec::new(); b];
+        }
+        scratch.fit(shard);
+        let ShardScratch { scores, route, seen } = scratch;
+        let seen = &mut seen[..shard.len()];
+        let visited = self.route(shard, plan, route);
+        let mut blocks: Vec<Option<Matrix>> = Vec::new(); // ham-lint: allow(alloc, "empty unless the batch has several rows")
+        if b > 1 {
+            blocks.resize(shard.num_panels(), None);
+            for &j in visited.iter().flatten() {
+                if blocks[j].is_none() {
+                    blocks[j] = Some(shard.panel(j).scan_batch(plan));
+                }
+            }
+        }
+        // ham-lint: allow(alloc, "the returned shortlists are the step's output, select_k items per request")
         let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            let seen = match seen_items[i] {
-                Some(items) => {
-                    mark_seen(&mut scratch, items);
-                    Some(scratch.as_slice())
-                }
-                None => None,
-            };
-            let select_k = if quantized { ks[i].saturating_mul(2) } else { ks[i] };
-            // Flat merge over every visited cluster of every shard: the merge
-            // comparator is a total order, so this equals the hierarchical
-            // per-shard merge bit for bit.
-            let mut lists = Vec::new();
-            for (s, shard) in self.shards.iter().enumerate() {
-                let Some(index) = shard.ivf.as_ref() else { continue };
-                let local_seen = seen.map(|bits| &bits[shard.offset..shard.offset + shard.len()]);
-                for &j in &blocks[s].visited[i] {
-                    // ham-lint: allow(panic, "the scoring task scored every visited cluster before returning its block")
-                    let block = blocks[s].blocks[j].as_ref().expect("visited cluster left unscored");
-                    lists.push(rank_panel(shard.offset, index.cluster_ids(j), block.row(i), select_k, local_seen));
-                }
+        for (i, visited) in visited.iter().enumerate() {
+            let history = plan.seen[i].as_deref();
+            if let Some(items) = history {
+                mark(seen, shard.offset, items, true);
             }
-            let candidates = merge_top_k(&lists, select_k);
-            let merged = if quantized {
-                let rerank_started = trace.is_some().then(Instant::now);
-                let ranked = self.rerank_exact(candidates, queries.row(i), ks[i], seen);
-                if let Some(at) = rerank_started {
-                    rerank_micros += at.elapsed().as_micros() as u64;
-                }
-                ranked
-            } else {
-                candidates
-            };
-            if let Some(items) = seen_items[i] {
-                clear_seen(&mut scratch, items);
+            let bits = history.is_some().then_some(&*seen);
+            let select_k = plan.select_k(i);
+            // ham-lint: allow(alloc, "one shortlist per visited panel, select_k items each")
+            let mut lists = Vec::with_capacity(visited.len());
+            for &j in visited {
+                let panel = shard.panel(j);
+                let panel_scores = match blocks.get(j) {
+                    // ham-lint: allow(panic, "the batched scan above scored every visited panel")
+                    Some(block) => block.as_ref().expect("visited panel left unscored").row(i),
+                    None => {
+                        let out = &mut scores[..panel.len()];
+                        panel.scan_into(plan, i, out);
+                        &*out
+                    }
+                };
+                lists.push(select(shard.offset, panel.ids, panel_scores, select_k, bits));
             }
-            out.push(merged);
+            if let Some(items) = history {
+                mark(seen, shard.offset, items, false);
+            }
+            out.push(if lists.len() == 1 { lists.swap_remove(0) } else { merge_top_k(&lists, select_k) });
         }
-        if let Some(trace) = trace {
-            trace.shard_score_micros = shard_micros;
-            let rank_micros = rank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
-            trace.merge_micros = rank_micros.saturating_sub(rerank_micros);
+        out
+    }
+
+    /// The route of the per-shard step: the panels each request visits —
+    /// the top-`nprobe` clusters by centroid score (GEMV into `route`), or
+    /// the whole shard.
+    // ham-lint: hot-path
+    fn route(&self, shard: &Shard, plan: &ScorePlan, route: &mut [f32]) -> Vec<Vec<usize>> {
+        (0..plan.len())
+            .map(|i| match &shard.ivf {
+                Some(index) => {
+                    let route = &mut route[..index.num_clusters()];
+                    index.centroids().matvec_transposed_into(plan.queries.row(i), route);
+                    top_k_indices(route, self.nprobe.min(route.len()))
+                }
+                // ham-lint: allow(alloc, "a one-entry visit list")
+                None => vec![0],
+            })
+            // ham-lint: allow(alloc, "one visit list per request, nprobe entries each")
+            .collect()
+    }
+
+    /// The per-request step of the plan: each request's k-way merge over the
+    /// shortlists of the shards that answered (`answered`, one entry per
+    /// shard that made it), then — on an int8 plan — the exact re-rank of
+    /// the merged `2k` candidates. `trace` receives the merge and re-rank
+    /// timings.
+    pub(crate) fn merge_requests(
+        &self,
+        plan: &ScorePlan,
+        mut answered: Vec<Shortlists>,
+        trace: Option<&mut StageTrace>,
+    ) -> Vec<Vec<ScoredItem>> {
+        let started = trace.is_some().then(Instant::now);
+        let mut rerank_micros = 0u64;
+        let mut out = Vec::with_capacity(plan.len());
+        for i in 0..plan.len() {
+            let lists: Vec<Vec<ScoredItem>> = answered.iter_mut().map(|shard| std::mem::take(&mut shard[i])).collect();
+            let merged = merge_top_k(&lists, plan.select_k(i));
+            if plan.qqueries.is_none() {
+                out.push(merged);
+                continue;
+            }
+            let rerank_started = started.map(|_| Instant::now());
+            out.push(self.rerank_exact(merged, plan.queries.row(i), plan.ks[i], plan.seen[i].as_deref()));
+            if let Some(at) = rerank_started {
+                rerank_micros += at.elapsed().as_micros() as u64;
+            }
+        }
+        if let (Some(trace), Some(at)) = (trace, started) {
+            trace.merge_micros = (at.elapsed().as_micros() as u64).saturating_sub(rerank_micros);
             trace.rerank_micros = rerank_micros;
         }
         out
     }
 
-    /// One shard's batched IVF scoring: per-request routing GEMVs, then one
-    /// panel GEMM per cluster in the union of visited clusters.
-    fn ivf_score_shard_batch(&self, s: usize, queries: &Matrix, qqueries: Option<&[QuantizedQuery]>) -> IvfShardBlock {
-        let b = queries.rows();
-        // ham-lint: allow(panic, "IVF entry points are only reachable on clustered catalogues")
-        let index = self.shards[s].ivf.as_ref().expect("IVF serving on a catalogue without a cluster index");
-        let c = index.num_clusters();
-        if c == 0 {
-            return IvfShardBlock { visited: vec![Vec::new(); b], blocks: Vec::new() };
-        }
-        let probe = self.nprobe.min(c);
-        let mut union = vec![false; c];
-        let visited: Vec<Vec<usize>> = (0..b)
-            .map(|i| {
-                let route = index.centroids().matvec_transposed(queries.row(i));
-                let v = top_k_indices(&route, probe);
-                for &j in &v {
-                    union[j] = true;
-                }
-                v
-            })
-            .collect();
-        let blocks: Vec<Option<Matrix>> = (0..c)
-            .map(|j| {
-                if !union[j] {
-                    return None;
-                }
-                Some(match qqueries {
-                    Some(qq) => {
-                        let panel = index.qpanel(j);
-                        let mut block = Matrix::zeros(b, panel.rows());
-                        kernels::quantized_matmul_transposed_into(qq, panel, &mut block);
-                        block
-                    }
-                    None => queries.matmul_transposed(index.panel(j)),
-                })
-            })
-            .collect();
-        IvfShardBlock { visited, blocks }
-    }
-
     /// Re-scores `candidates` with the exact f32 per-row dot (the same
     /// dispatched kernel chain as the exact GEMV path — bit-identical per
-    /// row), re-applies the mask, and keeps the top `k` under the exact
-    /// comparator. Crate-visible so the deadline-bounded degraded path
-    /// (`degrade`) re-ranks its quantized pre-selection with the very same
-    /// code and stays bit-identical when no shard was dropped.
+    /// row), re-applies the mask (`seen` item ids), and keeps the top `k`
+    /// under the exact comparator.
     pub(crate) fn rerank_exact(
         &self,
         candidates: Vec<ScoredItem>,
         query: &[f32],
         k: usize,
-        seen: Option<&[bool]>,
+        seen: Option<&[ItemId]>,
     ) -> Vec<ScoredItem> {
         let mut exact: Vec<ScoredItem> = candidates
             .into_iter()
             .map(|c| {
-                let masked = seen.is_some_and(|bits| bits[c.item]);
+                let masked = seen.is_some_and(|items| items.contains(&c.item));
                 let score = if masked {
                     f32::NEG_INFINITY
                 } else {
@@ -859,289 +581,117 @@ impl ShardedCatalog {
         let s = self.shards.partition_point(|sh| sh.offset + sh.len() <= item);
         (s, item - self.shards[s].offset)
     }
+}
 
-    /// Batched [`Self::quantized_top_k_with_buf`]: one int8 GEMM per shard
-    /// (in parallel across shards on `pool` when given), then per-row
-    /// pre-selection, merge and exact re-rank.
-    ///
-    /// Because the re-rank rescores with the exact per-row dot, a batched
-    /// quantized request returns the same bits as the single-request
-    /// quantized path — batching changes throughput, never results.
-    ///
-    /// # Panics
-    /// Panics if the catalogue was not quantized or the per-row argument
-    /// lengths disagree with the batch size.
-    pub fn quantized_top_k_batch(
-        &self,
-        queries: &Matrix,
-        ks: &[usize],
-        seen_items: &[Option<&[ItemId]>],
-        pool: Option<&ThreadPool>,
-    ) -> Vec<Vec<ScoredItem>> {
-        self.quantized_top_k_batch_traced(queries, ks, seen_items, pool, None)
+/// One shard's answer to a plan: a shortlist per request, batch order.
+pub(crate) type Shortlists = Vec<Vec<ScoredItem>>;
+
+/// One batch as the score plan sees it: the query rows, each request's `k`
+/// and seen history, and the scan tier. Owned, so the server's executor
+/// tasks can share it behind an `Arc`.
+#[derive(Debug)]
+pub(crate) struct ScorePlan {
+    queries: Matrix,
+    /// Int8 copies of the query rows — present exactly when the plan scans
+    /// the int8 panels; shortlists are then `2k` wide and re-ranked exactly.
+    qqueries: Option<Vec<QuantizedQuery>>,
+    ks: Vec<usize>,
+    /// Item ids each request excludes (`None` ranks the full catalogue).
+    seen: Vec<Option<Vec<ItemId>>>,
+}
+
+impl ScorePlan {
+    /// A plan over `queries` (one row per request), scanning the int8
+    /// panels when `int8` is set.
+    pub(crate) fn new(queries: Matrix, ks: Vec<usize>, seen: Vec<Option<Vec<ItemId>>>, int8: bool) -> Self {
+        let qqueries = int8.then(|| (0..queries.rows()).map(|i| QuantizedQuery::quantize(queries.row(i))).collect());
+        Self { queries, qqueries, ks, seen }
     }
 
-    /// [`Self::quantized_top_k_batch`] with stage timing: when `trace` is
-    /// given, per-shard GEMM durations, the ranking/merge loop and the exact
-    /// re-rank are clocked into it. `None` serves identically with no
-    /// timing overhead beyond one branch.
-    pub fn quantized_top_k_batch_traced(
-        &self,
-        queries: &Matrix,
-        ks: &[usize],
-        seen_items: &[Option<&[ItemId]>],
-        pool: Option<&ThreadPool>,
-        trace: Option<&mut StageTrace>,
-    ) -> Vec<Vec<ScoredItem>> {
-        let b = queries.rows();
-        assert_eq!(ks.len(), b, "quantized_top_k_batch: {} k values for {} queries", ks.len(), b);
-        assert_eq!(seen_items.len(), b, "quantized_top_k_batch: {} seen lists for {} queries", seen_items.len(), b);
-        if self.is_clustered() {
-            return self.ivf_top_k_batch_traced(queries, ks, seen_items, pool, trace, true);
-        }
-        let qqueries: Vec<QuantizedQuery> = (0..b).map(|i| QuantizedQuery::quantize(queries.row(i))).collect();
-        let mut blocks: Vec<Option<(Matrix, u64)>> = self.shards.iter().map(|_| None).collect();
-        let parallel_useful = self.shards.iter().filter(|s| !s.is_empty()).count() > 1;
-        let score_shard = |s: usize| {
-            let started = Instant::now();
-            // ham-lint: allow(panic, "callers gate on catalogue quantization; the panel is built at construction")
-            let panel = self.shards[s].quantized.as_ref().expect("quantized_top_k on an unquantized catalogue");
-            let mut block = Matrix::zeros(b, panel.rows());
-            kernels::quantized_matmul_transposed_into(&qqueries, panel, &mut block);
-            (block, started.elapsed().as_micros() as u64)
-        };
-        match pool {
-            Some(pool) if parallel_useful => pool.scope(|scope| {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    let score_shard = &score_shard;
-                    scope.spawn(move || *block = Some(score_shard(s)));
-                }
-            }),
-            _ => {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    *block = Some(score_shard(s));
-                }
-            }
-        }
-        let mut shard_micros = Vec::new();
-        let blocks: Vec<Matrix> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(s, b)| {
-                // ham-lint: allow(panic, "pool.scope joins every spawned task; each task fills its slot before returning")
-                let (block, micros) = b.expect("shard scoring task never ran");
-                shard_micros.push((s, micros));
-                block
-            })
-            .collect();
-        let rank_started = trace.is_some().then(Instant::now);
-        let mut rerank_micros = 0u64;
-        let mut scratch = vec![false; self.num_items];
-        let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            let seen = match seen_items[i] {
-                Some(items) => {
-                    mark_seen(&mut scratch, items);
-                    Some(scratch.as_slice())
-                }
-                None => None,
-            };
-            let pre_k = ks[i].saturating_mul(2);
-            let per_shard: Vec<Vec<ScoredItem>> =
-                (0..self.shards.len()).map(|s| self.shard_top_k(s, blocks[s].row(i), pre_k, seen)).collect();
-            let candidates = merge_top_k(&per_shard, pre_k);
-            let rerank_started = trace.is_some().then(Instant::now);
-            let merged = self.rerank_exact(candidates, queries.row(i), ks[i], seen);
-            if let Some(at) = rerank_started {
-                rerank_micros += at.elapsed().as_micros() as u64;
-            }
-            if let Some(items) = seen_items[i] {
-                clear_seen(&mut scratch, items);
-            }
-            out.push(merged);
-        }
-        if let Some(trace) = trace {
-            trace.shard_score_micros = shard_micros;
-            let rank_micros = rank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
-            trace.merge_micros = rank_micros.saturating_sub(rerank_micros);
-            trace.rerank_micros = rerank_micros;
-        }
-        out
+    /// Number of requests.
+    pub(crate) fn len(&self) -> usize {
+        self.queries.rows()
     }
 
-    /// Exact global top-k for a query batch: one packed-panel GEMM per shard
-    /// (shards scored in parallel on `pool` when given), then per-row local
-    /// ranking and merging. `ks[i]` and `seen_items[i]` apply to query row
-    /// `i`; a row's seen items are the item ids to exclude (`None` ranks the
-    /// full catalogue; ids outside the catalogue are ignored).
-    ///
-    /// The ranking stage reuses **one** catalogue bitmap across the whole
-    /// batch, marked and cleared per row in O(history) — no per-request
-    /// bitmap allocation or O(catalogue) zeroing on the serving hot path.
-    ///
-    /// # Panics
-    /// Panics if `ks` or `seen_items` do not have one entry per query row.
-    pub fn top_k_batch(
-        &self,
-        queries: &Matrix,
-        ks: &[usize],
-        seen_items: &[Option<&[ItemId]>],
-        pool: Option<&ThreadPool>,
-    ) -> Vec<Vec<ScoredItem>> {
-        self.top_k_batch_traced(queries, ks, seen_items, pool, None)
-    }
-
-    /// [`Self::top_k_batch`] with stage timing: when `trace` is given,
-    /// per-shard GEMM durations and the ranking/merge loop are clocked into
-    /// it. `None` serves identically with no timing overhead beyond one
-    /// branch.
-    pub fn top_k_batch_traced(
-        &self,
-        queries: &Matrix,
-        ks: &[usize],
-        seen_items: &[Option<&[ItemId]>],
-        pool: Option<&ThreadPool>,
-        trace: Option<&mut StageTrace>,
-    ) -> Vec<Vec<ScoredItem>> {
-        let b = queries.rows();
-        assert_eq!(ks.len(), b, "top_k_batch: {} k values for {} queries", ks.len(), b);
-        assert_eq!(seen_items.len(), b, "top_k_batch: {} seen lists for {} queries", seen_items.len(), b);
-        if self.is_clustered() {
-            return self.ivf_top_k_batch_traced(queries, ks, seen_items, pool, trace, false);
+    /// Shortlist width of request `i`: its `k`, or `2k` for the int8
+    /// pre-selection.
+    fn select_k(&self, i: usize) -> usize {
+        if self.qqueries.is_some() {
+            self.ks[i].saturating_mul(2)
+        } else {
+            self.ks[i]
         }
-        let mut blocks: Vec<Option<(Matrix, u64)>> = self.shards.iter().map(|_| None).collect();
-        // A single (or single non-empty) shard has nothing to overlap — skip
-        // the pool handoff and score inline on the caller.
-        let parallel_useful = self.shards.iter().filter(|s| !s.is_empty()).count() > 1;
-        let score_shard = |s: usize| {
-            let started = Instant::now();
-            let block = self.shard_scores_batch(s, queries);
-            (block, started.elapsed().as_micros() as u64)
-        };
-        match pool {
-            Some(pool) if parallel_useful => pool.scope(|scope| {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    let score_shard = &score_shard;
-                    scope.spawn(move || *block = Some(score_shard(s)));
-                }
-            }),
-            _ => {
-                for (s, block) in blocks.iter_mut().enumerate() {
-                    *block = Some(score_shard(s));
-                }
-            }
-        }
-        let mut shard_micros = Vec::new();
-        let blocks: Vec<Matrix> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(s, b)| {
-                // ham-lint: allow(panic, "pool.scope joins every spawned task; each task fills its slot before returning")
-                let (block, micros) = b.expect("shard scoring task never ran");
-                shard_micros.push((s, micros));
-                block
-            })
-            .collect();
-        let rank_started = trace.is_some().then(Instant::now);
-        let mut scratch = vec![false; self.num_items];
-        let sole = self.sole_active_shard();
-        let mut out = Vec::with_capacity(b);
-        for i in 0..b {
-            let seen = match seen_items[i] {
-                Some(items) => {
-                    mark_seen(&mut scratch, items);
-                    Some(scratch.as_slice())
-                }
-                None => None,
-            };
-            // With one active shard the local ranking is the global ranking.
-            let merged = match sole {
-                Some(s) => self.shard_top_k(s, blocks[s].row(i), ks[i], seen),
-                None => {
-                    let per_shard: Vec<Vec<ScoredItem>> =
-                        (0..self.shards.len()).map(|s| self.shard_top_k(s, blocks[s].row(i), ks[i], seen)).collect();
-                    merge_top_k(&per_shard, ks[i])
-                }
-            };
-            if let Some(items) = seen_items[i] {
-                clear_seen(&mut scratch, items);
-            }
-            out.push(merged);
-        }
-        if let Some(trace) = trace {
-            trace.shard_score_micros = shard_micros;
-            trace.merge_micros = rank_started.map_or(0, |at| at.elapsed().as_micros() as u64);
-        }
-        out
     }
 }
 
-/// What one shard task hands back to the deadline-bounded coordinator
-/// (`degrade::score_bounded`).
-pub(crate) enum ShardBlock {
-    /// Dense scores for every shard row (`b × shard_len`) — the exact and
-    /// quantized dense paths; the coordinator ranks it per request.
-    Dense(Matrix),
-    /// Per-request pre-ranked shortlists — the IVF paths route, score and
-    /// rank inside the task (the coordinator has no dense block to rank
-    /// unvisited rows from).
-    Ranked(Vec<Vec<ScoredItem>>),
+/// Working buffers of the per-shard step, reused across requests by whoever
+/// runs it (an executor worker, or the caller of a direct entry point): the
+/// panel score buffer, the centroid-score buffer and the shard-local seen
+/// bitmap. Invariant between steps: the bitmap is all-clear.
+#[derive(Debug, Default)]
+pub(crate) struct ShardScratch {
+    scores: Vec<f32>,
+    route: Vec<f32>,
+    seen: Vec<bool>,
 }
 
-/// One shard's batched IVF scoring result: the clusters each request visits,
-/// and a scored block for every cluster in the union of visited sets.
-struct IvfShardBlock {
-    /// `visited[i]`: cluster ids request row `i` routes to.
-    visited: Vec<Vec<usize>>,
-    /// `blocks[j]`: the `b × panel_len` score block of cluster `j`, `None`
-    /// when no request in the batch visits it.
-    blocks: Vec<Option<Matrix>>,
+impl ShardScratch {
+    /// Grows the buffers to `shard`'s sizes (a no-op once they fit).
+    fn fit(&mut self, shard: &Shard) {
+        grow(&mut self.scores, shard.max_panel_len(), 0.0);
+        grow(&mut self.route, shard.num_clusters(), 0.0);
+        grow(&mut self.seen, shard.len(), false);
+    }
+
+    /// Restores the all-clear bitmap after a step panicked mid-request.
+    pub(crate) fn reset(&mut self) {
+        self.seen.fill(false);
+    }
 }
 
-/// Ranks one cluster panel's score slice to its top `select_k`: the fused
-/// mask+select with the panel-local → shard-local id translation (`ids`),
-/// emitting global item ids (`offset + shard-local id`). `local_seen` is the
-/// seen bitmap in *shard-local* index space (the global bitmap sliced to the
-/// shard's range, or a task-local bitmap on the bounded path). Masked items
-/// participate at `-inf`, and since each panel keeps its ids ascending, the
-/// panel-index tie-break reproduces the global-id tie-break exactly.
-fn rank_panel(
+fn grow<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
+    if buf.len() < len {
+        buf.resize(len, value);
+    }
+}
+
+/// Sets (or clears) the shard-local bits of `items` in `bits`, the bitmap
+/// of the shard starting at global id `offset`; ids outside the shard are
+/// ignored. O(history).
+fn mark(bits: &mut [bool], offset: usize, items: &[ItemId], value: bool) {
+    for &item in items {
+        if let Some(bit) = item.checked_sub(offset).and_then(|local| bits.get_mut(local)) {
+            *bit = value;
+        }
+    }
+}
+
+/// The masked select of one panel: its top `select_k` rows as global ids
+/// (`offset` + the shard-local id, through `ids` for a cluster panel).
+/// `local_seen` is the seen bitmap in shard-local index space; masked rows
+/// take part at `-inf`, and since panel ids ascend, the panel-index
+/// tie-break is the global-id tie-break.
+fn select(
     offset: usize,
-    ids: &[usize],
+    ids: Option<&[usize]>,
     scores: &[f32],
     select_k: usize,
     local_seen: Option<&[bool]>,
 ) -> Vec<ScoredItem> {
-    let local = match local_seen {
-        Some(bits) => top_k_indices_masked_with(scores, select_k, |p| bits[ids[p]]),
-        None => top_k_indices(scores, select_k),
+    let id = |p: usize| ids.map_or(p, |ids| ids[p]);
+    let local = match (local_seen, ids) {
+        (None, _) => top_k_indices(scores, select_k),
+        (Some(bits), None) => top_k_indices_masked(scores, select_k, bits),
+        (Some(bits), Some(ids)) => top_k_indices_masked_with(scores, select_k, |p| bits[ids[p]]),
     };
     local
         .into_iter()
         .map(|p| {
-            let masked = local_seen.is_some_and(|bits| bits[ids[p]]);
+            let masked = local_seen.is_some_and(|bits| bits[id(p)]);
             let score = if masked { f32::NEG_INFINITY } else { scores[p] };
-            ScoredItem { item: offset + ids[p], score }
+            ScoredItem { item: offset + id(p), score }
         })
         .collect()
-}
-
-/// Marks every in-catalogue id of `items` in the bitmap (O(history)).
-pub(crate) fn mark_seen(bits: &mut [bool], items: &[ItemId]) {
-    for &item in items {
-        if item < bits.len() {
-            bits[item] = true;
-        }
-    }
-}
-
-/// Clears the marks of [`mark_seen`], leaving the bitmap all-clear again.
-pub(crate) fn clear_seen(bits: &mut [bool], items: &[ItemId]) {
-    for &item in items {
-        if item < bits.len() {
-            bits[item] = false;
-        }
-    }
 }
 
 /// "Better recommendation" ordering: higher score wins, ties go to the lower

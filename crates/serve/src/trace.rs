@@ -1,30 +1,28 @@
 //! Stage-level timing of one served batch.
 //!
-//! A [`StageTrace`] is the serving pipeline's timing scratchpad: the batch
-//! path fills in how long query assembly, each shard's scoring GEMM, the
-//! k-way merge and (on the quantized path) the exact re-rank took. The
-//! dispatcher then shapes the totals into per-request
-//! [`SpanTree`](ham_telemetry::SpanTree)s for the flight recorder. Tracing
-//! is requested explicitly (`Option<&mut StageTrace>` threaded through the
-//! batch entry points), so the untraced hot path carries a `None` check and
-//! nothing else.
+//! A [`StageTrace`] is the score plan's timing scratchpad: the plan fills in
+//! how long query assembly, each shard's step (route, scan and select), the
+//! k-way merge and (on the int8 tier) the exact re-rank took — for a batch
+//! of one exactly as for any other. The dispatcher then shapes the totals
+//! into per-request [`SpanTree`](ham_telemetry::SpanTree)s for the flight
+//! recorder. Tracing is requested explicitly (`Option<&mut StageTrace>`
+//! threaded through the plan), so the untraced path carries a `None` check
+//! and nothing else.
 
 /// Collected stage durations of one served batch (all microseconds).
 #[derive(Debug, Clone, Default)]
 pub struct StageTrace {
     /// Building the batch's query matrix from user ids + histories.
     pub batch_assembly_micros: u64,
-    /// Per-shard scoring time, `(shard index, micros)` — wall-clock inside
-    /// each shard's scoring task, so with parallel shards these overlap.
+    /// Per-shard step time, `(shard index, micros)` — wall-clock inside
+    /// each shard's task (route, scan and select), so with parallel shards
+    /// these overlap.
     pub shard_score_micros: Vec<(usize, u64)>,
-    /// Per-shard local ranking plus the k-way merges across the batch.
+    /// The per-request k-way merges across the batch.
     pub merge_micros: u64,
-    /// Exact f32 re-rank of the merged candidates (quantized path only;
-    /// zero on the exact path).
+    /// Exact f32 re-rank of the merged candidates (int8 tier only; zero on
+    /// the exact tier).
     pub rerank_micros: u64,
-    /// The whole single-request GEMV path, when the batch had one request
-    /// and bypassed the stages above.
-    pub solo_micros: Option<u64>,
 }
 
 impl StageTrace {

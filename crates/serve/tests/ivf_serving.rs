@@ -23,7 +23,7 @@ use ham_serve::{
     PROBE_ALL,
 };
 use ham_telemetry::Telemetry;
-use ham_tensor::{Matrix, QuantizedQuery};
+use ham_tensor::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,12 +78,12 @@ proptest! {
         // Quantization composes in either construction order; both must
         // reproduce the exact quantized path bit-for-bit.
         let exact_q = ShardedCatalog::from_matrix(&w, shards).with_quantization();
-        let want_q = exact_q.quantized_top_k_with_buf(&q, k, seen_bits, &mut Vec::new(), &mut QuantizedQuery::quantize(&[]));
+        let want_q = exact_q.quantized_top_k(&q, k, seen_bits);
         for quantized in [
             ShardedCatalog::from_matrix(&w, shards).with_quantization().with_cluster_index(&config),
             ShardedCatalog::from_matrix(&w, shards).with_cluster_index(&config).with_quantization(),
         ] {
-            let got_q = quantized.quantized_top_k_with_buf(&q, k, seen_bits, &mut Vec::new(), &mut QuantizedQuery::quantize(&[]));
+            let got_q = quantized.quantized_top_k(&q, k, seen_bits);
             prop_assert_eq!(bits(&got_q), bits(&want_q), "int8: n={} shards={} clusters={} k={}", n, shards, clusters, k);
         }
     }
@@ -261,4 +261,5 @@ fn bounded_path_serves_clustered_models_exactly_or_flagged() {
     assert!(response.degraded, "a panicking shard must flag the clustered response");
     assert_eq!(response.shards_answered, 2);
     assert!(!response.items.is_empty(), "surviving shards still answer");
+    assert_eq!(response.clusters_probed, 4, "only the two answering shards' probes count (2 x nprobe 2)");
 }

@@ -166,9 +166,7 @@ proptest! {
 
         let catalog = ShardedCatalog::from_matrix(&w, shards).with_quantization();
         let want = catalog.top_k(&q, k, seen_bits);
-        let got = catalog.quantized_top_k_with_buf(
-            &q, k, seen_bits, &mut Vec::new(), &mut ham_tensor::QuantizedQuery::quantize(&[]),
-        );
+        let got = catalog.quantized_top_k(&q, k, seen_bits);
         prop_assert_eq!(got, want, "n={} d={} shards={} k={}", n, d, shards, k);
     }
 
@@ -184,9 +182,7 @@ proptest! {
         let all_seen = vec![true; n];
         for (k, seen) in [(n + 3, None), (1, Some(all_seen.as_slice())), (n, None)] {
             let want = catalog.top_k(&q, k, seen);
-            let got = catalog.quantized_top_k_with_buf(
-                &q, k, seen, &mut Vec::new(), &mut ham_tensor::QuantizedQuery::quantize(&[]),
-            );
+            let got = catalog.quantized_top_k(&q, k, seen);
             prop_assert_eq!(got, want, "n={} shards={} k={}", n, shards, k);
         }
     }
