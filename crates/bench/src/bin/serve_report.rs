@@ -99,7 +99,6 @@ fn sharded_pass(serving: &ServingModel, requests: &[RecommendRequest], batch: us
 struct ShardRow {
     shards: usize,
     batch: usize,
-    quantized: bool,
     seconds: f64,
     users_per_second: f64,
 }
@@ -358,15 +357,9 @@ fn main() {
     // separate blocks minutes apart — ratios then compare like with like.
     let shard_counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let batch_sizes: &[usize] = &[1, 16, 64];
-    // Each shard count is measured twice: exact f32 catalogues and int8
-    // quantized catalogues with the exact re-rank (identical results, less
-    // catalogue traffic).
-    let servings: Vec<(usize, bool, ServingModel)> = shard_counts
+    let servings: Vec<(usize, ServingModel)> = shard_counts
         .iter()
-        .flat_map(|&s| {
-            let build = || ServingModel::from_scorer("ham-sm", Arc::clone(&model), s).expect("HAM has a linear head");
-            [(s, false, build()), (s, true, build().with_quantized_catalog())]
-        })
+        .map(|&s| (s, ServingModel::from_scorer("ham-sm", Arc::clone(&model), s).expect("HAM has a linear head")))
         .collect();
     let requests: Vec<RecommendRequest> =
         (0..histories.len()).map(|u| RecommendRequest::new(u, histories[u].clone(), K)).collect();
@@ -383,7 +376,7 @@ fn main() {
         let start = Instant::now();
         single_node_pass(&model, &histories, threads);
         single_seconds = single_seconds.min(start.elapsed().as_secs_f64());
-        for (si, (_, _, serving)) in servings.iter().enumerate() {
+        for (si, (_, serving)) in servings.iter().enumerate() {
             for (bi, &batch) in batch_sizes.iter().enumerate() {
                 let start = Instant::now();
                 sharded_pass(serving, &requests, batch);
@@ -394,16 +387,10 @@ fn main() {
     }
     let single_ups = scale.users as f64 / single_seconds;
     let mut rows: Vec<ShardRow> = Vec::new();
-    for (si, (shards, quantized, _)) in servings.iter().enumerate() {
+    for (si, (shards, _)) in servings.iter().enumerate() {
         for (bi, &batch) in batch_sizes.iter().enumerate() {
             let seconds = sharded_best[si * batch_sizes.len() + bi];
-            rows.push(ShardRow {
-                shards: *shards,
-                batch,
-                quantized: *quantized,
-                seconds,
-                users_per_second: scale.users as f64 / seconds,
-            });
+            rows.push(ShardRow { shards: *shards, batch, seconds, users_per_second: scale.users as f64 / seconds });
         }
     }
     let best_sharded = rows.iter().map(|r| r.users_per_second).fold(0.0f64, f64::max);
@@ -424,9 +411,9 @@ fn main() {
     out.push_str(
         "  \"description\": \"Sharded serving subsystem: single-node baseline vs sharded offline \
          throughput (users/s, k=10, seen-items masked) and online micro-batched serving with latency \
-         percentiles. Sharded results are exact (bit-identical ids to the single-node ranking); rows with \
-         quantized=true score candidates against int8 panels and re-rank the top-2k through the exact f32 \
-         kernel, which keeps the served ranking bit-identical too.\",\n",
+         percentiles. Sharded results are exact (bit-identical ids to the single-node ranking); batch-1 rows \
+         take the certified int8 scan, which re-scores its certified candidates through the exact f32 \
+         kernel and so serves the same bits.\",\n",
     );
     out.push_str(&format!(
         "  \"d\": {D},\n  \"k\": {K},\n  \"items\": {},\n  \"users\": {},\n  \"pool_threads\": {threads},\n  \
@@ -442,10 +429,9 @@ fn main() {
     out.push_str("  \"sharded_offline\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"shards\": {}, \"batch\": {}, \"quantized\": {}, \"seconds\": {:.6}, \"users_per_second\": {:.1}, \"vs_single_node\": {:.3}}}{}\n",
+            "    {{\"shards\": {}, \"batch\": {}, \"seconds\": {:.6}, \"users_per_second\": {:.1}, \"vs_single_node\": {:.3}}}{}\n",
             r.shards,
             r.batch,
-            r.quantized,
             r.seconds,
             r.users_per_second,
             r.users_per_second / single_ups,

@@ -243,6 +243,17 @@ fn full_loop_snapshot(quick: bool) -> MetricsSnapshot {
     snapshot
 }
 
+/// Kernel invocations across every tier: the `kernel_*_calls_total`
+/// counters only (their `kernel_*_bytes_total` siblings count bytes).
+fn kernel_tier_calls(snapshot: &MetricsSnapshot) -> u64 {
+    snapshot
+        .counters
+        .iter()
+        .filter(|c| c.name.starts_with("kernel_") && c.name.ends_with("_calls_total"))
+        .map(|c| c.value)
+        .sum()
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let scale = BenchScale::new(quick);
@@ -268,8 +279,7 @@ fn main() {
 
     eprintln!("running the instrumented train → publish → serve loop...");
     let snapshot = full_loop_snapshot(quick);
-    let total_tier_calls: u64 =
-        snapshot.counters.iter().filter(|c| c.name.starts_with("kernel_")).map(|c| c.value).sum();
+    let total_tier_calls = kernel_tier_calls(&snapshot);
     let shed = snapshot.counter("serve_requests_shed_total").unwrap_or(0);
     let publishes = snapshot.counter("online_publishes_total").unwrap_or(0);
     let staleness = snapshot.gauge("online_serving_staleness_seconds").unwrap_or(0);
@@ -326,4 +336,20 @@ fn main() {
         "wrote BENCH_telemetry.json (p50 overhead {:.2}%; shed {shed}, publishes {publishes}, staleness {staleness}s)",
         overhead_pct
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_tier_calls_counts_calls_not_bytes() {
+        let mut snapshot = MetricsSnapshot::default();
+        snapshot.push_counter("kernel_avx512_calls_total", 19_000);
+        snapshot.push_counter("kernel_avx512_bytes_total", 5_775_333_280);
+        snapshot.push_counter("kernel_portable_calls_total", 742);
+        snapshot.push_counter("kernel_portable_bytes_total", 1_000);
+        snapshot.push_counter("serve_requests_shed_total", 3);
+        assert_eq!(kernel_tier_calls(&snapshot), 19_742);
+    }
 }

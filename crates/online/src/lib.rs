@@ -113,10 +113,10 @@ pub struct OnlineConfig {
     pub train: TrainConfig,
     /// Shard count of the published serving snapshots.
     pub shards: usize,
-    /// Freeze an int8 panel next to every published shard and serve through
-    /// the quantized pre-selection + exact re-rank path (¼ of the
-    /// candidate-matrix traffic per request; results stay bit-identical to
-    /// the exact path under the serving layer's recall guardrail).
+    /// Has no effect. Every published snapshot carries the int8 snapshot
+    /// the serving layer's certified scan reads, so there is no separate
+    /// quantized tier to opt into; the field stays only because existing
+    /// configurations (the repository benchmark among them) set it.
     pub quantize_serving: bool,
     /// Build an IVF cluster index over every published snapshot's catalogue
     /// (rebuilt at each publish from the fresh embedding rows) and serve
@@ -379,7 +379,7 @@ impl OnlineTrainer {
             config.seed,
         );
         let live_dims = (state.num_users(), state.num_items());
-        let serving = freeze(checkpoint.model, config.shards, config.quantize_serving, config.ivf, checkpoint.round);
+        let serving = freeze(checkpoint.model, config.shards, config.ivf, checkpoint.round);
         let metrics = OnlineMetrics::resolve(&telemetry);
         Self {
             config,
@@ -515,9 +515,9 @@ impl OnlineTrainer {
         if instances_trained > 0 || round == 1 {
             let snapshot = self.state.snapshot();
             let serving = if self.faults.corrupt_snapshot(round) {
-                freeze_corrupted(snapshot, self.config.shards, self.config.quantize_serving, self.config.ivf, round)
+                freeze_corrupted(snapshot, self.config.shards, self.config.ivf, round)
             } else {
-                freeze(snapshot, self.config.shards, self.config.quantize_serving, self.config.ivf, round)
+                freeze(snapshot, self.config.shards, self.config.ivf, round)
             };
             let accepted = if gate.shadow_eval && round > 1 && probes.len() >= gate.min_probes.max(1) {
                 let eval = shadow_evaluate(&self.registry.current().model, &serving, &probes, gate.probe_k);
@@ -656,11 +656,10 @@ fn shadow_evaluate(
 /// Freezes a model snapshot into a named, sharded serving snapshot. Takes
 /// the snapshot by value: it is already an owned copy, so publishing must
 /// not memcpy the embedding tables a second time.
-fn freeze(model: HamModel, shards: usize, quantize: bool, ivf: Option<IvfConfig>, round: u64) -> ServingModel {
+fn freeze(model: HamModel, shards: usize, ivf: Option<IvfConfig>, round: u64) -> ServingModel {
     let serving = ServingModel::from_scorer(&format!("ham-online-r{round}"), Arc::new(model), shards.max(1))
         // ham-lint: allow(panic, "HamModel::linear_head is total — every HAM model exposes its output embeddings")
         .expect("HAM models always expose a linear head");
-    let serving = if quantize { serving.with_quantized_catalog() } else { serving };
     match ivf {
         Some(config) => serving.with_cluster_index(&config),
         None => serving,
@@ -672,13 +671,7 @@ fn freeze(model: HamModel, shards: usize, quantize: bool, ivf: Option<IvfConfig>
 /// hard on any probe set. Only reachable through the fault injector's
 /// `snapshot_corrupt=r<round>` rule — it exists so the chaos suite can
 /// prove the shadow gate keeps a regressing candidate out of the registry.
-fn freeze_corrupted(
-    model: HamModel,
-    shards: usize,
-    quantize: bool,
-    ivf: Option<IvfConfig>,
-    round: u64,
-) -> ServingModel {
+fn freeze_corrupted(model: HamModel, shards: usize, ivf: Option<IvfConfig>, round: u64) -> ServingModel {
     let candidates = model.candidate_item_embeddings().clone();
     let model = Arc::new(model);
     let serving = ServingModel::from_parts(
@@ -687,7 +680,6 @@ fn freeze_corrupted(
         shards.max(1),
         move |user, history| model.query_vector(user, history).iter().map(|q| -q).collect(),
     );
-    let serving = if quantize { serving.with_quantized_catalog() } else { serving };
     match ivf {
         Some(config) => serving.with_cluster_index(&config),
         None => serving,

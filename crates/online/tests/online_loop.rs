@@ -194,12 +194,11 @@ fn new_users_and_items_grow_and_get_served() {
     assert!(response.items.iter().all(|s| s.score.is_finite()));
 }
 
-/// `quantize_serving` publishes int8-quantized snapshots at every round —
-/// bootstrap and incremental alike — and the served results stay
-/// bit-identical to an unquantized twin trained on the same stream (the
-/// quantized path re-ranks its candidates through the exact f32 kernel).
+/// `quantize_serving` has no effect: every snapshot already carries the
+/// int8 snapshot of the certified scan, so a twin trained on the same stream
+/// with the flag set publishes the same rounds and serves the same bits.
 #[test]
-fn quantized_publishing_serves_the_same_results() {
+fn quantize_serving_has_no_effect() {
     let initial = tiny_dataset(21);
     let exact_config = tiny_config(77);
     let quant_config = OnlineConfig { quantize_serving: true, ..exact_config };
@@ -215,8 +214,6 @@ fn quantized_publishing_serves_the_same_results() {
     let exact = run(exact_config);
     let quantized = run(quant_config);
 
-    assert!(!exact.registry().current().model.is_quantized());
-    assert!(quantized.registry().current().model.is_quantized(), "every published snapshot must be quantized");
     assert_eq!(quantized.registry().version(), 2, "the incremental round still publishes");
 
     let exact_server = RecServer::start(exact.registry(), ServerConfig::default());
@@ -224,7 +221,7 @@ fn quantized_publishing_serves_the_same_results() {
     for (user, seq) in initial.sequences.iter().enumerate() {
         let want = exact_server.submit(RecommendRequest::new(user, seq.clone(), 5)).expect("exact serving");
         let got = quant_server.submit(RecommendRequest::new(user, seq.clone(), 5)).expect("quantized serving");
-        assert_eq!(got.items, want.items, "user {user}: quantized serving must match the exact path bit-for-bit");
+        assert_eq!(got.items, want.items, "user {user}: the flag must not change what is served");
     }
 }
 

@@ -6,8 +6,10 @@
 //! At request time the shard scores the query against its centroids (one
 //! small GEMV), visits only the top-`nprobe` clusters, and runs the masked
 //! top-k select over those panels — so retrieval cost scales with the rows
-//! *visited*, not the catalogue size. The per-cluster shortlists flow into
-//! the very same k-way merge + exact re-rank machinery as exact serving.
+//! *visited*, not the catalogue size. Each panel carries its own int8
+//! snapshot, so a one-row request scans it with the same certified scan as
+//! a flat shard, and the per-cluster shortlists flow into the very same
+//! k-way merge as exact serving.
 //!
 //! ## The exact endpoint
 //!
@@ -128,9 +130,9 @@ impl Default for IvfConfig {
 pub(crate) struct ClusterIndex {
     centroids: Matrix,
     panels: Vec<Matrix>,
-    /// Int8 snapshots of `panels`, present iff the owning catalogue is
-    /// quantized. Per-row quantization is position-independent, so a panel
-    /// row quantizes bit-identically to the same row in the shard panel.
+    /// Int8 snapshots of `panels` for the certified scan. Per-row
+    /// quantization is position-independent, so a panel row quantizes
+    /// bit-identically to the same row in the shard panel.
     qpanels: Vec<QuantizedMatrix>,
     /// `ids[j][p]`: shard-local row id of panel `j`'s row `p` (ascending).
     ids: Vec<Vec<usize>>,
@@ -157,14 +159,8 @@ impl ClusterIndex {
         let centroids = result.centroids.gather_rows(&keep);
         let ids: Vec<Vec<usize>> = keep.iter().map(|&j| std::mem::take(&mut ids[j])).collect();
         let panels: Vec<Matrix> = ids.iter().map(|cluster| rows.gather_rows(cluster)).collect();
-        Self { centroids, panels, qpanels: Vec::new(), ids }
-    }
-
-    /// Snapshots every panel as int8 (called when the owning catalogue is
-    /// quantized, so the IVF path pre-selects through the same ¼-traffic
-    /// panels as shard-level quantized serving).
-    pub(crate) fn quantize_panels(&mut self) {
-        self.qpanels = self.panels.iter().map(QuantizedMatrix::quantize).collect();
+        let qpanels = panels.iter().map(QuantizedMatrix::quantize).collect();
+        Self { centroids, panels, qpanels, ids }
     }
 
     /// Number of (non-empty) clusters.
@@ -187,10 +183,9 @@ impl ClusterIndex {
         &self.panels[j]
     }
 
-    /// Cluster `j`'s int8 panel (`None` when the panels were never
-    /// quantized).
-    pub(crate) fn qpanel(&self, j: usize) -> Option<&QuantizedMatrix> {
-        self.qpanels.get(j)
+    /// Cluster `j`'s int8 panel.
+    pub(crate) fn qpanel(&self, j: usize) -> &QuantizedMatrix {
+        &self.qpanels[j]
     }
 
     /// Cluster `j`'s shard-local row ids, ascending.

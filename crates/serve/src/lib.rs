@@ -11,12 +11,13 @@
 //!
 //! * [`shard`] — [`ShardedCatalog`]: the candidate matrix `W` split row-wise
 //!   into per-worker shards, and the **score plan** every entry point serves
-//!   through. Per shard: an optional IVF route, an f32 or int8 scan (GEMV
-//!   for one query row, packed-panel GEMM otherwise) and the fused
-//!   mask+select top-k (no `-inf` writes); per request: the k-way heap merge
-//!   into the **exact** global top-k — bit-identical ids, stable tie-break,
-//!   for every shard count — then, on the int8 tier, the exact re-rank.
-//!   Tiers and modes are parameters of the plan, not method families.
+//!   through. Per shard: an optional IVF route, a scan (the certified int8
+//!   scan for one query row — it reads the int8 snapshot and re-scores in
+//!   f32 only the rows that can still reach the top-k — a packed-panel f32
+//!   GEMM otherwise) and the fused mask+select top-k (no `-inf` writes); per
+//!   request: the k-way heap merge into the **exact** global top-k —
+//!   bit-identical ids, stable tie-break, for every shard count. Modes are
+//!   parameters of the plan, not method families.
 //! * [`model`] — [`ServingModel`]: a frozen serving snapshot (sharded
 //!   catalogue + owned query builder) constructed from any
 //!   [`ham_core::Scorer`] or anything else with a [`ham_core::LinearHead`]

@@ -20,19 +20,15 @@ use std::sync::Arc;
 ///
 /// Results are **exact**: every request goes through the catalogue's score
 /// plan (see [`crate::shard`]). A single request ([`Self::recommend`])
-/// scores each shard with the same GEMV kernel the single-node
-/// `recommend_top_k` uses and is bit-identical to it; a larger batch
-/// ([`Self::recommend_batch`]) coalesces into one packed-panel GEMM per
-/// shard and is bit-identical to the equivalent unsharded GEMM ranking
-/// (which agrees with the GEMV path within float rounding, ≤ 1e-5 — the same
-/// contract `score_batch` has had since the kernel layer landed).
-///
-/// [`Self::with_quantized_catalog`] additionally freezes an int8 snapshot of
-/// the candidate matrix at publish time: requests then pre-select through
-/// the quantized panels (¼ of the candidate-matrix memory traffic) and
-/// re-rank the quantized top-`2k` with the exact f32 per-row kernel, so the
-/// served top-k stays bit-identical — ids and order — to the exact GEMV
-/// path (pinned by the serving tests as a recall guardrail).
+/// takes the certified int8 scan, which reads the int8 snapshot frozen at
+/// construction (¼ of the candidate-matrix bytes) and re-scores only the
+/// rows that can still reach the top-k with the same per-row kernel as the
+/// single-node GEMV of `recommend_top_k` — so it is bit-identical to it; a
+/// larger batch ([`Self::recommend_batch`]) coalesces into one
+/// packed-panel f32 GEMM per shard and is bit-identical to the equivalent
+/// unsharded GEMM ranking (which agrees with the GEMV path within float
+/// rounding, ≤ 1e-5 — the same contract `score_batch` has had since the
+/// kernel layer landed).
 pub struct ServingModel {
     name: String,
     /// Behind an `Arc`: the server's executor hands each shard task its own
@@ -88,8 +84,8 @@ impl ServingModel {
         }
     }
 
-    /// Packages a pre-built catalogue (possibly quantized and/or clustered)
-    /// with a query closure — how the benchmark sweeps re-dial `nprobe`
+    /// Packages a pre-built catalogue (possibly clustered) with a query
+    /// closure — how the benchmark sweeps re-dial `nprobe`
     /// without rebuilding the k-means index per setting.
     pub fn from_catalog(
         name: &str,
@@ -97,19 +93,6 @@ impl ServingModel {
         query: impl Fn(usize, &[ItemId]) -> Vec<f32> + Send + Sync + 'static,
     ) -> Self {
         Self { name: name.to_string(), catalog: Arc::new(catalog), query: Box::new(query) }
-    }
-
-    /// Freezes an int8 snapshot of every shard and switches serving to the
-    /// quantized pre-selection + exact re-rank path. The f32 shards stay
-    /// authoritative (the re-rank reads them), so this only adds the panels'
-    /// 1 byte/element — and serving results stay bit-identical to the exact
-    /// path under the recall guardrail.
-    pub fn with_quantized_catalog(mut self) -> Self {
-        // Publish-time construction: the Arc is freshly made and unshared,
-        // so this is a move, not a catalogue copy.
-        let catalog = Arc::try_unwrap(self.catalog).unwrap_or_else(|shared| (*shared).clone());
-        self.catalog = Arc::new(catalog.with_quantization());
-        self
     }
 
     /// Builds the inverted-file cluster index over every shard and switches
@@ -129,11 +112,6 @@ impl ServingModel {
         let catalog = Arc::try_unwrap(self.catalog).unwrap_or_else(|shared| (*shared).clone());
         self.catalog = Arc::new(catalog.with_nprobe(nprobe));
         self
-    }
-
-    /// Whether requests take the quantized pre-selection path.
-    pub fn is_quantized(&self) -> bool {
-        self.catalog.is_quantized()
     }
 
     /// Whether requests take the cluster-routed IVF paths.
@@ -174,7 +152,7 @@ impl ServingModel {
     }
 
     /// Serves one request exactly, inline on the caller: the score plan with
-    /// a GEMV per shard, shard-local fused masking, k-way merge.
+    /// the certified scan per shard, shard-local fused masking, k-way merge.
     /// Bit-identical to the single-node `recommend_top_k` for every shard
     /// count.
     pub fn recommend(&self, request: &RecommendRequest) -> Vec<ScoredItem> {
@@ -185,8 +163,9 @@ impl ServingModel {
     /// every shard is scored with one packed-panel GEMM over the whole batch
     /// (in parallel across shards on `pool` when given, inline otherwise),
     /// and each request is ranked and merged with its own `k` and seen
-    /// history. A batch of one takes the GEMV of [`Self::recommend`], so a
-    /// lonely request gets the same bits whether or not it was queued.
+    /// history. A batch of one takes the certified scan of
+    /// [`Self::recommend`], so a lonely request gets the same bits whether or
+    /// not it was queued.
     pub fn recommend_batch(&self, requests: &[RecommendRequest], pool: Option<&ThreadPool>) -> Vec<Vec<ScoredItem>> {
         let mut queries = Matrix::zeros(requests.len(), self.catalog.dim());
         for (i, request) in requests.iter().enumerate() {
@@ -196,14 +175,14 @@ impl ServingModel {
     }
 
     /// The score plan for `requests` with query rows `queries` (one per
-    /// request, in order), on this model's tier.
+    /// request, in order).
     pub(crate) fn plan<'r>(
         &self,
         queries: Matrix,
         requests: impl IntoIterator<Item = &'r RecommendRequest>,
     ) -> ScorePlan {
         let (ks, seen) = requests.into_iter().map(|r| (r.k, r.exclude_seen.then(|| r.history.clone()))).unzip();
-        ScorePlan::new(queries, ks, seen, self.catalog.is_quantized())
+        ScorePlan::new(queries, ks, seen)
     }
 }
 

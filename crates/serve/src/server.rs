@@ -66,7 +66,7 @@ impl Default for ServerConfig {
 }
 
 /// Fraction of a batch's tightest remaining deadline budget granted to the
-/// per-shard steps; the holdback covers the merge, re-rank and delivery.
+/// per-shard steps; the holdback covers the merge and delivery.
 /// The batch budget is the minimum over its requests' remaining deadlines
 /// at pickup.
 const SHARD_BUDGET_FRACTION: f64 = 0.7;
@@ -192,7 +192,6 @@ struct ServeMetrics {
     stage_batch_assembly: Histogram,
     stage_shard_score: Histogram,
     stage_merge: Histogram,
-    stage_rerank: Histogram,
     /// Lazily resolved per-shard handles (`serve_shard_{s}_score_micros`,
     /// `serve_shard_{s}_deadline_miss_total`), indexed by shard id — the
     /// attribution that makes a slow shard visible *by name* before the
@@ -222,7 +221,6 @@ impl ServeMetrics {
             stage_batch_assembly: registry.histogram("serve_stage_batch_assembly_micros"),
             stage_shard_score: registry.histogram("serve_stage_shard_score_micros"),
             stage_merge: registry.histogram("serve_stage_merge_micros"),
-            stage_rerank: registry.histogram("serve_stage_rerank_micros"),
             per_shard: Mutex::new(Vec::new()),
         })
     }
@@ -550,9 +548,6 @@ fn serve_batch(shared: &ServerShared, batch: Vec<Pending>, executor: &mut Option
         metrics.stage_batch_assembly.record(trace.batch_assembly_micros);
         metrics.stage_shard_score.record(trace.max_shard_micros());
         metrics.stage_merge.record(trace.merge_micros);
-        if trace.rerank_micros > 0 {
-            metrics.stage_rerank.record(trace.rerank_micros);
-        }
         for &(shard, micros) in &trace.shard_score_micros {
             metrics.shard(&shared.telemetry, shard).score_micros.record(micros);
         }
@@ -662,7 +657,7 @@ fn score_batch(
 
 /// Shapes one request's timing into the flight-recorder span tree:
 /// `request → {queue, service → {batch_assembly, shard_score → {shard_i…},
-/// merge, rerank}}`, for a batch of one as for any other. Stage offsets are
+/// merge}}`, for a batch of one as for any other. Stage offsets are
 /// laid out sequentially from the measured durations — parallel shard
 /// children share the `shard_score` start offset.
 fn request_span_tree(queue_micros: u64, service_micros: u64, trace: &StageTrace) -> SpanTree {
@@ -681,10 +676,6 @@ fn request_span_tree(queue_micros: u64, service_micros: u64, trace: &StageTrace)
     service = service.with_child(score);
     at += score_wall;
     service = service.with_child(SpanTree::leaf("merge", at, trace.merge_micros));
-    at += trace.merge_micros;
-    if trace.rerank_micros > 0 {
-        service = service.with_child(SpanTree::leaf("rerank", at, trace.rerank_micros));
-    }
     SpanTree::leaf("request", 0, queue_micros + service_micros)
         .with_child(SpanTree::leaf("queue", 0, queue_micros))
         .with_child(service)

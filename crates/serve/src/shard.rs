@@ -10,26 +10,23 @@
 //!
 //! ## The score plan
 //!
-//! Every entry point — [`ShardedCatalog::top_k`] / [`top_k_batch`] /
-//! [`quantized_top_k`], `ServingModel::recommend` / `recommend_batch` and
-//! the server — serves through one plan of two steps:
+//! Every entry point — [`ShardedCatalog::top_k`] / [`top_k_batch`],
+//! `ServingModel::recommend` / `recommend_batch` and the server — serves
+//! through one plan of two steps:
 //!
 //! * **per shard** (`ShardedCatalog::score_shard`): route (an IVF shard
 //!   picks each request's top-`nprobe` clusters; a flat shard is one
-//!   panel), scan the visited panels (f32 or int8; a GEMV for a one-row
-//!   batch, a GEMM otherwise), and the masked select of each request's
+//!   panel), scan the visited panels (the certified int8 scan for a one-row
+//!   batch, an f32 GEMM otherwise), and the masked select of each request's
 //!   shortlist;
 //! * **per request** (`ShardedCatalog::merge_requests`): the k-way merge
-//!   of the shortlists of the shards that answered, then the exact re-rank
-//!   on the int8 tier.
+//!   of the shortlists of the shards that answered.
 //!
-//! Tiers are parameters of the plan (`ScorePlan`), not method families;
-//! the only execution parameter is where the per-shard steps run — inline
+//! The only execution parameter is where the per-shard steps run — inline
 //! on the caller, on a pool scope, or on the server's deadline-bounded
 //! executor (`degrade`).
 //!
 //! [`top_k_batch`]: ShardedCatalog::top_k_batch
-//! [`quantized_top_k`]: ShardedCatalog::quantized_top_k
 //!
 //! ## Exactness
 //!
@@ -49,20 +46,27 @@
 //! * the merge comparator is the same total preference (higher score first,
 //!   ties to the lower global item id) used by `top_k_indices`.
 //!
-//! ## The quantized candidate path
+//! ## The certified int8 scan
 //!
-//! [`ShardedCatalog::with_quantization`] snapshots every shard's rows as an
-//! int8 [`QuantizedMatrix`] panel alongside the f32 original. An int8 plan
-//! ([`ShardedCatalog::quantized_top_k`]) then scores each shard against the
-//! i8 panel (¼ of the memory traffic), pre-selects the quantized top-`2k`
-//! per shard through the same fused mask+select kernel, merges, and
-//! **re-ranks the merged candidates with the exact f32 per-row dot** — the
-//! very kernel chain the exact GEMV path uses — so the served top-k is
-//! bit-identical to the exact path whenever the exact winners survive the
-//! 2k pre-selection (the recall guardrail pinned by the serving
-//! test-suite, not a silent approximation). Quantized pre-selection scores
-//! are integer-accumulated and therefore bit-identical across tiers and
-//! shard counts by construction.
+//! Every shard and IVF panel carries an int8 snapshot ([`QuantizedMatrix`])
+//! built once at construction, with each row's measured element error and
+//! L1 norm. A
+//! one-row scan reads the snapshot instead of the f32 rows (¼ of the
+//! bytes) and serves the same bits as the f32 GEMV:
+//!
+//! 1. the int8 GEMV gives every row an approximate score `a_j`;
+//! 2. [`ScoreBound`] gives a rigorous `b_j ≥ |s_j − a_j|`, where `s_j` is
+//!    the f32 score the tier's `dot` computes for the row;
+//! 3. with `L` the `k`-th largest lower bound `a_j − b_j` among unseen
+//!    rows, at least `k` unseen rows score `≥ L`, so every row of the f32
+//!    top-k has `a_j + b_j ≥ L` — those rows are the certified candidates;
+//! 4. the candidates are re-scored with `kernels::dot_rows_into` (the very
+//!    `dot` chain of the GEMV) and ranked with the same select, so served
+//!    ids, order and score bits equal the f32 path by construction.
+//!
+//! A panel falls back to the f32 GEMV for a request when no bound covers it:
+//! a non-finite query or row, a shape that could overflow, or fewer unseen
+//! rows than the shortlist (the select then pads with seen rows).
 
 use crate::ivf::{ClusterIndex, IvfConfig, PROBE_ALL};
 use crate::trace::StageTrace;
@@ -70,7 +74,9 @@ use ham_data::dataset::ItemId;
 use ham_tensor::kernels;
 use ham_tensor::ops::{top_k_indices, top_k_indices_masked, top_k_indices_masked_with};
 use ham_tensor::pool::ThreadPool;
-use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
+use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery, ScoreBound};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// One recommended item with its model score.
@@ -87,15 +93,22 @@ pub struct ScoredItem {
 pub struct Shard {
     offset: usize,
     rows: Matrix,
-    /// Int8 snapshot of `rows` for the quantized pre-selection path
-    /// (`None` until [`ShardedCatalog::with_quantization`]).
-    quantized: Option<QuantizedMatrix>,
+    /// Int8 snapshot of `rows` with the certified scan's per-row bound terms.
+    quantized: QuantizedMatrix,
     /// Inverted-file index over `rows` for cluster-routed retrieval
     /// (`None` until [`ShardedCatalog::with_cluster_index`]).
     ivf: Option<ClusterIndex>,
 }
 
 impl Shard {
+    /// Copies and snapshots the rows `offset..offset + len` of `w` in one
+    /// pass.
+    fn build(w: &Matrix, offset: usize, len: usize) -> Self {
+        let d = w.cols();
+        let (rows, quantized) = QuantizedMatrix::quantize_copy(&w.as_slice()[offset * d..(offset + len) * d], len, d);
+        Self { offset, rows, quantized, ivf: None }
+    }
+
     /// Global item id of the shard's first row.
     pub fn offset(&self) -> usize {
         self.offset
@@ -116,9 +129,9 @@ impl Shard {
         &self.rows
     }
 
-    /// The shard's int8 panel, when the catalogue was quantized.
-    pub fn quantized(&self) -> Option<&QuantizedMatrix> {
-        self.quantized.as_ref()
+    /// The shard's int8 snapshot (the certified scan reads it).
+    pub fn quantized(&self) -> &QuantizedMatrix {
+        &self.quantized
     }
 
     /// Number of IVF clusters over this shard (0 when no index was built).
@@ -131,7 +144,7 @@ impl Shard {
     fn panel(&self, j: usize) -> Panel<'_> {
         match &self.ivf {
             Some(index) => Panel { rows: index.panel(j), qrows: index.qpanel(j), ids: Some(index.cluster_ids(j)) },
-            None => Panel { rows: &self.rows, qrows: self.quantized.as_ref(), ids: None },
+            None => Panel { rows: &self.rows, qrows: &self.quantized, ids: None },
         }
     }
 
@@ -149,8 +162,8 @@ impl Shard {
 /// One scan unit of a shard: the whole shard, or one IVF cluster panel.
 struct Panel<'a> {
     rows: &'a Matrix,
-    /// The int8 snapshot of `rows` (`None` on an unquantized catalogue).
-    qrows: Option<&'a QuantizedMatrix>,
+    /// The int8 snapshot of `rows`.
+    qrows: &'a QuantizedMatrix,
     /// Shard-local id of each panel row, ascending (`None`: the whole shard,
     /// where the panel row is the shard row).
     ids: Option<&'a [usize]>,
@@ -161,31 +174,153 @@ impl Panel<'_> {
         self.rows.rows()
     }
 
-    fn qrows(&self) -> &QuantizedMatrix {
-        // ham-lint: allow(panic, "int8 plans are only built for quantized catalogues, whose panels are all snapshotted")
-        self.qrows.expect("int8 scan of an unquantized catalogue")
+    /// Shard-local id of panel row `p`.
+    fn id(&self, p: usize) -> usize {
+        self.ids.map_or(p, |ids| ids[p])
     }
 
-    /// The one-row scan: query row `i` of `plan` against every panel row
-    /// (f32 or int8 GEMV) into `out`.
-    fn scan_into(&self, plan: &ScorePlan, i: usize, out: &mut [f32]) {
-        match &plan.qqueries {
-            Some(qq) => kernels::quantized_matvec_into(self.qrows(), &qq[i], out),
-            None => self.rows.matvec_transposed_into(plan.queries.row(i), out),
+    /// The one-row scan and select: the masked top-`select_k` of `query`
+    /// over the panel as global ids (`offset` + shard-local id). Equal, bit
+    /// for bit, to [`select`] over the f32 GEMV; read through the int8
+    /// snapshot wherever `bound` covers it (module docs).
+    // ham-lint: hot-path
+    fn scan_select(
+        &self,
+        offset: usize,
+        query: &[f32],
+        bound: Option<&ScoreBound>,
+        select_k: usize,
+        seen: Option<&[bool]>,
+        scratch: &mut ScanScratch,
+    ) -> Vec<ScoredItem> {
+        let ScanScratch { scores, qquery, floor, candidates, exact } = scratch;
+        let approx = &mut scores[..self.len()];
+        if let Some(bound) = bound.filter(|b| (1..approx.len()).contains(&select_k) && b.covers(self.qrows)) {
+            kernels::quantized_matvec_into(self.qrows, qquery, approx);
+            if self.certify(bound, approx, select_k, seen, floor, candidates) {
+                grow(exact, candidates.len(), 0.0);
+                let exact = &mut exact[..candidates.len()];
+                kernels::dot_rows_into(self.rows, candidates, query, exact);
+                return top_k_indices(exact, select_k)
+                    .into_iter()
+                    .map(|c| ScoredItem { item: offset + self.id(candidates[c]), score: exact[c] })
+                    // ham-lint: allow(alloc, "the returned shortlist, select_k items")
+                    .collect();
+            }
         }
+        self.rows.matvec_transposed_into(query, approx);
+        select(offset, self.ids, approx, select_k, seen)
+    }
+
+    /// The certification pass over the int8 scores `approx`: collects into
+    /// `candidates` (ascending panel rows) every unseen row whose upper
+    /// bound reaches `L`, the `select_k`-th largest lower bound among unseen
+    /// rows — a superset of the f32 top-`select_k`.
+    ///
+    /// One pass in blocks of [`CERTIFY_LANES`] rows: `floor`, a min-heap of
+    /// the `select_k` best lower bounds so far, gives the running `L`, which
+    /// only rises; a row is kept when its upper bound reaches the running
+    /// `L`, and the kept rows are filtered once more against the final one.
+    /// The bounds of a block are compared branch-free into bitmasks, so the
+    /// per-row work is a few vector lanes; the heap and the candidate list
+    /// see only the rare rows that pass. Returns false when fewer than
+    /// `select_k` rows are unseen (the f32 select would pad with seen rows).
+    // ham-lint: hot-path
+    fn certify(
+        &self,
+        bound: &ScoreBound,
+        approx: &[f32],
+        select_k: usize,
+        seen: Option<&[bool]>,
+        floor: &mut BinaryHeap<Reverse<Bound>>,
+        candidates: &mut Vec<usize>,
+    ) -> bool {
+        let (errors, l1_norms) = (self.qrows.errors(), self.qrows.l1_norms());
+        let radius = |p: usize| bound.row(errors[p], l1_norms[p], approx[p]);
+        let unseen = |p: usize| !seen.is_some_and(|bits| bits[self.id(p)]);
+        floor.clear();
+        candidates.clear();
+        let mut level = f32::NEG_INFINITY;
+        let mut admit = |p: usize, level: &mut f32| {
+            let lower = approx[p] - radius(p);
+            if floor.len() < select_k {
+                floor.push(Reverse(Bound(lower)));
+            } else if lower > *level {
+                if let Some(mut top) = floor.peek_mut() {
+                    *top = Reverse(Bound(lower));
+                }
+            }
+            if floor.len() == select_k {
+                *level = floor.peek().map_or(*level, |top| top.0 .0);
+            }
+        };
+        let blocks = approx
+            .chunks_exact(CERTIFY_LANES)
+            .zip(errors.chunks_exact(CERTIFY_LANES))
+            .zip(l1_norms.chunks_exact(CERTIFY_LANES));
+        let tail = approx.len() - approx.len() % CERTIFY_LANES;
+        for (block, ((a, error), l1)) in blocks.enumerate() {
+            let (mut reach, mut rise) = (0u32, 0u32);
+            for l in 0..CERTIFY_LANES {
+                let r = bound.row(error[l], l1[l], a[l]);
+                reach |= u32::from(a[l] + r >= level) << l;
+                rise |= u32::from(a[l] - r > level) << l;
+            }
+            let base = block * CERTIFY_LANES;
+            for p in lanes_of(base, rise).filter(|&p| unseen(p)) {
+                admit(p, &mut level);
+            }
+            candidates.extend(lanes_of(base, reach).filter(|&p| unseen(p)));
+        }
+        for p in tail..approx.len() {
+            if unseen(p) {
+                admit(p, &mut level);
+                candidates.push(p);
+            }
+        }
+        if floor.len() < select_k {
+            return false;
+        }
+        candidates.retain(|&p| approx[p] + radius(p) >= level);
+        true
     }
 
     /// The batched scan: every query row of `plan` against every panel row
-    /// (f32 or int8 packed-panel GEMM), a `batch × len` block.
+    /// (the f32 packed-panel GEMM), a `batch × len` block.
     fn scan_batch(&self, plan: &ScorePlan) -> Matrix {
-        match &plan.qqueries {
-            Some(qq) => {
-                let mut block = Matrix::zeros(qq.len(), self.len());
-                kernels::quantized_matmul_transposed_into(qq, self.qrows(), &mut block);
-                block
-            }
-            None => plan.queries.matmul_transposed(self.rows),
-        }
+        plan.queries.matmul_transposed(self.rows)
+    }
+}
+
+/// Rows per block of the certification pass: one bit per row in the
+/// block's bitmasks.
+const CERTIFY_LANES: usize = 16;
+
+/// The rows `base + l` for each set bit `l` of `mask`, ascending.
+fn lanes_of(base: usize, mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            base + lane
+        })
+    })
+}
+
+/// A lower bound in the certification heap, ordered by `f32::total_cmp`
+/// (the bounds over a covered panel are finite).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Bound(f32);
+
+impl Eq for Bound {}
+impl PartialOrd for Bound {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Bound {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
     }
 }
 
@@ -206,37 +341,40 @@ impl ShardedCatalog {
     /// first `n % num_shards` shards hold one extra row). Shards beyond the
     /// item count come out empty and are handled gracefully everywhere.
     ///
+    /// Each shard copies its rows and builds their int8 snapshot in one
+    /// pass; the shards are built in parallel on up to
+    /// `available_parallelism` scoped threads.
+    ///
     /// # Panics
     /// Panics if `num_shards` is zero.
     pub fn from_matrix(w: &Matrix, num_shards: usize) -> Self {
         assert!(num_shards > 0, "ShardedCatalog: need at least one shard");
         let (n, d) = w.shape();
-        let base = n / num_shards;
-        let extra = n % num_shards;
-        let mut shards = Vec::with_capacity(num_shards);
-        let mut offset = 0;
-        for s in 0..num_shards {
-            let len = base + usize::from(s < extra);
-            let rows = Matrix::from_vec(len, d, w.as_slice()[offset * d..(offset + len) * d].to_vec());
-            shards.push(Shard { offset, rows, quantized: None, ivf: None });
-            offset += len;
-        }
+        let (base, extra) = (n / num_shards, n % num_shards);
+        let ranges: Vec<(usize, usize)> = (0..num_shards)
+            .scan(0, |offset, s| {
+                let len = base + usize::from(s < extra);
+                *offset += len;
+                Some((*offset - len, len))
+            })
+            .collect();
+        let build = |part: &[(usize, usize)]| -> Vec<Shard> {
+            part.iter().map(|&(offset, len)| Shard::build(w, offset, len)).collect()
+        };
+        let threads = std::thread::available_parallelism().map_or(1, usize::from).min(num_shards);
+        let shards = if threads <= 1 {
+            build(&ranges)
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> =
+                    ranges.chunks(num_shards.div_ceil(threads)).map(|part| scope.spawn(move || build(part))).collect();
+                workers
+                    .into_iter()
+                    .flat_map(|worker| worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect()
+            })
+        };
         Self { shards, num_items: n, dim: d, nprobe: PROBE_ALL }
-    }
-
-    /// Snapshots every shard's rows as an int8 panel, enabling the quantized
-    /// pre-selection path. The f32 rows stay authoritative — the exact
-    /// re-rank and the f32 serving paths keep reading them. A cluster index
-    /// built earlier gets its panels quantized too, so the IVF and quantized
-    /// tiers compose in either construction order.
-    pub fn with_quantization(mut self) -> Self {
-        for shard in &mut self.shards {
-            shard.quantized = Some(QuantizedMatrix::quantize(&shard.rows));
-            if let Some(ivf) = &mut shard.ivf {
-                ivf.quantize_panels();
-            }
-        }
-        self
     }
 
     /// Builds a per-shard inverted-file index ([`ClusterIndex`]) with the
@@ -247,11 +385,7 @@ impl ShardedCatalog {
     /// measured recall for sub-linear scan cost.
     pub fn with_cluster_index(mut self, config: &IvfConfig) -> Self {
         for shard in &mut self.shards {
-            let mut index = ClusterIndex::build(&shard.rows, config, shard.offset as u64);
-            if shard.quantized.is_some() {
-                index.quantize_panels();
-            }
-            shard.ivf = Some(index);
+            shard.ivf = Some(ClusterIndex::build(&shard.rows, config, shard.offset as u64));
         }
         self.nprobe = config.nprobe.max(1);
         self
@@ -298,11 +432,6 @@ impl ShardedCatalog {
         shards.into_iter().map(|s| self.nprobe.min(self.shards[s].num_clusters())).sum()
     }
 
-    /// Whether the shards carry int8 panels ([`Self::with_quantization`]).
-    pub fn is_quantized(&self) -> bool {
-        self.shards.iter().all(|s| s.quantized.is_some())
-    }
-
     /// Number of shards (including empty ones).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -323,9 +452,10 @@ impl ShardedCatalog {
         &self.shards
     }
 
-    /// Scores one query against one shard into a caller-provided buffer
-    /// (overwritten) — the fused GEMV of the one-row scan, exposed so a
-    /// caller can time the scan apart from the select.
+    /// Scores one query against one shard's f32 rows into a caller-provided
+    /// buffer (overwritten) — the f32 GEMV whose bits the certified scan
+    /// reproduces, exposed as the reference a caller can time and rank apart
+    /// from the served path.
     ///
     /// # Panics
     /// Panics if `out.len()` is not the shard's length.
@@ -349,39 +479,15 @@ impl ShardedCatalog {
         select(s.offset, None, shard_scores, k, seen.map(|bits| &bits[s.offset..s.offset + s.len()]))
     }
 
-    /// Exact global top-k for one query: per-shard GEMV + local ranking,
-    /// then the k-way merge. `seen` is the global seen-item bitmap (length
+    /// Exact global top-k for one query: the per-shard certified scan and
+    /// local ranking, then the k-way merge. `seen` is the global seen-item bitmap (length
     /// `num_items`) or `None` to rank the full catalogue.
     ///
     /// Bit-identical to scoring the unsharded matrix and ranking once, for
     /// any shard count; on a clustered catalogue with `nprobe = all` too.
     pub fn top_k(&self, query: &[f32], k: usize, seen: Option<&[bool]>) -> Vec<ScoredItem> {
-        self.top_k_one(query, k, seen, false)
-    }
-
-    /// Global top-k through the int8 tier: per-shard int8 GEMV pre-selection
-    /// of the quantized top-`2k`, k-way merge, then an **exact f32 re-rank**
-    /// of the merged candidates.
-    ///
-    /// The re-rank scores each candidate with the same dispatched per-row
-    /// dot kernel the exact GEMV path uses, and ranks with the same
-    /// comparator — so whenever every exact winner survives the quantized
-    /// 2k pre-selection (the recall guardrail the serving tests pin), the
-    /// result is bit-identical, ids and order, to [`Self::top_k`].
-    ///
-    /// # Panics
-    /// Panics if the catalogue was not quantized
-    /// ([`Self::with_quantization`]).
-    pub fn quantized_top_k(&self, query: &[f32], k: usize, seen: Option<&[bool]>) -> Vec<ScoredItem> {
-        assert!(self.is_quantized(), "quantized_top_k on an unquantized catalogue");
-        self.top_k_one(query, k, seen, true)
-    }
-
-    /// One query through the plan, inline on the caller; the seen bitmap
-    /// becomes the plan's seen list.
-    fn top_k_one(&self, query: &[f32], k: usize, seen: Option<&[bool]>, int8: bool) -> Vec<ScoredItem> {
         let seen = seen.map(|bits| (0..self.num_items).filter(|&item| bits[item]).collect());
-        let plan = ScorePlan::new(Matrix::row_vector(query), vec![k], vec![seen], int8);
+        let plan = ScorePlan::new(Matrix::row_vector(query), vec![k], vec![seen]);
         self.run(&plan, None).pop().unwrap_or_default()
     }
 
@@ -390,7 +496,7 @@ impl ShardedCatalog {
     /// ranking and merging. `ks[i]` and `seen_items[i]` apply to query row
     /// `i`; a row's seen items are the item ids to exclude (`None` ranks the
     /// full catalogue; ids outside the catalogue are ignored). A one-row
-    /// batch takes the GEMV of [`Self::top_k`].
+    /// batch takes the certified scan of [`Self::top_k`].
     ///
     /// # Panics
     /// Panics if `ks` or `seen_items` do not have one entry per query row.
@@ -405,7 +511,7 @@ impl ShardedCatalog {
         assert_eq!(ks.len(), b, "top_k_batch: {} k values for {} queries", ks.len(), b);
         assert_eq!(seen_items.len(), b, "top_k_batch: {} seen lists for {} queries", seen_items.len(), b);
         let seen = seen_items.iter().map(|items| items.map(<[ItemId]>::to_vec)).collect();
-        self.run(&ScorePlan::new(queries.clone(), ks.to_vec(), seen, false), pool)
+        self.run(&ScorePlan::new(queries.clone(), ks.to_vec(), seen), pool)
     }
 
     /// Runs `plan`: every shard's step inline on the caller or — given a
@@ -431,15 +537,15 @@ impl ShardedCatalog {
 
     /// The per-shard step of the plan: route (an IVF shard picks each
     /// request's top-`nprobe` clusters with a centroid GEMV; a flat shard is
-    /// one panel), scan the visited panels (f32 or int8; a GEMV per panel
-    /// for a one-row plan, one GEMM per visited panel over the whole batch
-    /// otherwise), then select each request's masked top-`select_k` as
-    /// global ids — its shortlist for the per-request merge. Seen items
-    /// take part at `-inf` through the panel→global id translation, so
-    /// tie-breaks and degenerate padding match the single-node select.
+    /// one panel), scan the visited panels (the certified int8 scan for a
+    /// one-row plan, one f32 GEMM per visited panel over the whole batch
+    /// otherwise), then select each request's masked top-`k` as global ids —
+    /// its shortlist for the per-request merge. Seen items take part at
+    /// `-inf` through the panel→global id translation, so tie-breaks and
+    /// degenerate padding match the single-node select.
     ///
-    /// Score, route and seen-bitmap buffers come from `scratch`, which the
-    /// caller reuses across requests.
+    /// Score, route, seen-bitmap and certification buffers come from
+    /// `scratch`, which the caller reuses across requests.
     // ham-lint: hot-path
     pub(crate) fn score_shard(&self, s: usize, plan: &ScorePlan, scratch: &mut ShardScratch) -> Shortlists {
         let shard = &self.shards[s];
@@ -449,10 +555,11 @@ impl ShardedCatalog {
             return vec![Vec::new(); b];
         }
         scratch.fit(shard);
-        let ShardScratch { scores, route, seen } = scratch;
+        let ShardScratch { scan, route, seen } = scratch;
         let seen = &mut seen[..shard.len()];
         let visited = self.route(shard, plan, route);
         let mut blocks: Vec<Option<Matrix>> = Vec::new(); // ham-lint: allow(alloc, "empty unless the batch has several rows")
+        let mut bound = None;
         if b > 1 {
             blocks.resize(shard.num_panels(), None);
             for &j in visited.iter().flatten() {
@@ -460,8 +567,11 @@ impl ShardedCatalog {
                     blocks[j] = Some(shard.panel(j).scan_batch(plan));
                 }
             }
+        } else {
+            scan.qquery.requantize(plan.queries.row(0));
+            bound = ScoreBound::new(plan.queries.row(0), &scan.qquery);
         }
-        // ham-lint: allow(alloc, "the returned shortlists are the step's output, select_k items per request")
+        // ham-lint: allow(alloc, "the returned shortlists are the step's output, k items per request")
         let mut out = Vec::with_capacity(b);
         for (i, visited) in visited.iter().enumerate() {
             let history = plan.seen[i].as_deref();
@@ -469,26 +579,24 @@ impl ShardedCatalog {
                 mark(seen, shard.offset, items, true);
             }
             let bits = history.is_some().then_some(&*seen);
-            let select_k = plan.select_k(i);
-            // ham-lint: allow(alloc, "one shortlist per visited panel, select_k items each")
+            let k = plan.ks[i];
+            // ham-lint: allow(alloc, "one shortlist per visited panel, k items each")
             let mut lists = Vec::with_capacity(visited.len());
             for &j in visited {
                 let panel = shard.panel(j);
-                let panel_scores = match blocks.get(j) {
-                    // ham-lint: allow(panic, "the batched scan above scored every visited panel")
-                    Some(block) => block.as_ref().expect("visited panel left unscored").row(i),
-                    None => {
-                        let out = &mut scores[..panel.len()];
-                        panel.scan_into(plan, i, out);
-                        &*out
+                lists.push(match blocks.get(j) {
+                    Some(block) => {
+                        // ham-lint: allow(panic, "the batched scan above scored every visited panel")
+                        let scores = block.as_ref().expect("visited panel left unscored").row(i);
+                        select(shard.offset, panel.ids, scores, k, bits)
                     }
-                };
-                lists.push(select(shard.offset, panel.ids, panel_scores, select_k, bits));
+                    None => panel.scan_select(shard.offset, plan.queries.row(i), bound.as_ref(), k, bits, scan),
+                });
             }
             if let Some(items) = history {
                 mark(seen, shard.offset, items, false);
             }
-            out.push(if lists.len() == 1 { lists.swap_remove(0) } else { merge_top_k(&lists, select_k) });
+            out.push(if lists.len() == 1 { lists.swap_remove(0) } else { merge_top_k(&lists, k) });
         }
         out
     }
@@ -514,9 +622,7 @@ impl ShardedCatalog {
 
     /// The per-request step of the plan: each request's k-way merge over the
     /// shortlists of the shards that answered (`answered`, one entry per
-    /// shard that made it), then — on an int8 plan — the exact re-rank of
-    /// the merged `2k` candidates. `trace` receives the merge and re-rank
-    /// timings.
+    /// shard that made it). `trace` receives the merge timing.
     pub(crate) fn merge_requests(
         &self,
         plan: &ScorePlan,
@@ -524,113 +630,53 @@ impl ShardedCatalog {
         trace: Option<&mut StageTrace>,
     ) -> Vec<Vec<ScoredItem>> {
         let started = trace.is_some().then(Instant::now);
-        let mut rerank_micros = 0u64;
-        let mut out = Vec::with_capacity(plan.len());
-        for i in 0..plan.len() {
-            let lists: Vec<Vec<ScoredItem>> = answered.iter_mut().map(|shard| std::mem::take(&mut shard[i])).collect();
-            let merged = merge_top_k(&lists, plan.select_k(i));
-            if plan.qqueries.is_none() {
-                out.push(merged);
-                continue;
-            }
-            let rerank_started = started.map(|_| Instant::now());
-            out.push(self.rerank_exact(merged, plan.queries.row(i), plan.ks[i], plan.seen[i].as_deref()));
-            if let Some(at) = rerank_started {
-                rerank_micros += at.elapsed().as_micros() as u64;
-            }
-        }
-        if let (Some(trace), Some(at)) = (trace, started) {
-            trace.merge_micros = (at.elapsed().as_micros() as u64).saturating_sub(rerank_micros);
-            trace.rerank_micros = rerank_micros;
-        }
-        out
-    }
-
-    /// Re-scores `candidates` with the exact f32 per-row dot (the same
-    /// dispatched kernel chain as the exact GEMV path — bit-identical per
-    /// row), re-applies the mask (`seen` item ids), and keeps the top `k`
-    /// under the exact comparator.
-    pub(crate) fn rerank_exact(
-        &self,
-        candidates: Vec<ScoredItem>,
-        query: &[f32],
-        k: usize,
-        seen: Option<&[ItemId]>,
-    ) -> Vec<ScoredItem> {
-        let mut exact: Vec<ScoredItem> = candidates
-            .into_iter()
-            .map(|c| {
-                let masked = seen.is_some_and(|items| items.contains(&c.item));
-                let score = if masked {
-                    f32::NEG_INFINITY
-                } else {
-                    let (s, local) = self.locate(c.item);
-                    kernels::dot(self.shards[s].rows.row(local), query)
-                };
-                ScoredItem { item: c.item, score }
+        let out = (0..plan.len())
+            .map(|i| {
+                let lists: Vec<Vec<ScoredItem>> =
+                    answered.iter_mut().map(|shard| std::mem::take(&mut shard[i])).collect();
+                merge_top_k(&lists, plan.ks[i])
             })
             .collect();
-        exact.sort_by(|a, b| better(b, a));
-        exact.truncate(k);
-        exact
-    }
-
-    /// Shard index and shard-local row of a global item id.
-    fn locate(&self, item: usize) -> (usize, usize) {
-        debug_assert!(item < self.num_items);
-        let s = self.shards.partition_point(|sh| sh.offset + sh.len() <= item);
-        (s, item - self.shards[s].offset)
+        if let (Some(trace), Some(at)) = (trace, started) {
+            trace.merge_micros = at.elapsed().as_micros() as u64;
+        }
+        out
     }
 }
 
 /// One shard's answer to a plan: a shortlist per request, batch order.
 pub(crate) type Shortlists = Vec<Vec<ScoredItem>>;
 
-/// One batch as the score plan sees it: the query rows, each request's `k`
-/// and seen history, and the scan tier. Owned, so the server's executor
-/// tasks can share it behind an `Arc`.
+/// One batch as the score plan sees it: the query rows and each request's
+/// `k` and seen history. Owned, so the server's executor tasks can share it
+/// behind an `Arc`.
 #[derive(Debug)]
 pub(crate) struct ScorePlan {
     queries: Matrix,
-    /// Int8 copies of the query rows — present exactly when the plan scans
-    /// the int8 panels; shortlists are then `2k` wide and re-ranked exactly.
-    qqueries: Option<Vec<QuantizedQuery>>,
     ks: Vec<usize>,
     /// Item ids each request excludes (`None` ranks the full catalogue).
     seen: Vec<Option<Vec<ItemId>>>,
 }
 
 impl ScorePlan {
-    /// A plan over `queries` (one row per request), scanning the int8
-    /// panels when `int8` is set.
-    pub(crate) fn new(queries: Matrix, ks: Vec<usize>, seen: Vec<Option<Vec<ItemId>>>, int8: bool) -> Self {
-        let qqueries = int8.then(|| (0..queries.rows()).map(|i| QuantizedQuery::quantize(queries.row(i))).collect());
-        Self { queries, qqueries, ks, seen }
+    /// A plan over `queries` (one row per request).
+    pub(crate) fn new(queries: Matrix, ks: Vec<usize>, seen: Vec<Option<Vec<ItemId>>>) -> Self {
+        Self { queries, ks, seen }
     }
 
     /// Number of requests.
     pub(crate) fn len(&self) -> usize {
         self.queries.rows()
     }
-
-    /// Shortlist width of request `i`: its `k`, or `2k` for the int8
-    /// pre-selection.
-    fn select_k(&self, i: usize) -> usize {
-        if self.qqueries.is_some() {
-            self.ks[i].saturating_mul(2)
-        } else {
-            self.ks[i]
-        }
-    }
 }
 
 /// Working buffers of the per-shard step, reused across requests by whoever
 /// runs it (an executor worker, or the caller of a direct entry point): the
-/// panel score buffer, the centroid-score buffer and the shard-local seen
-/// bitmap. Invariant between steps: the bitmap is all-clear.
+/// certified scan's buffers, the centroid-score buffer and the shard-local
+/// seen bitmap. Invariant between steps: the bitmap is all-clear.
 #[derive(Debug, Default)]
 pub(crate) struct ShardScratch {
-    scores: Vec<f32>,
+    scan: ScanScratch,
     route: Vec<f32>,
     seen: Vec<bool>,
 }
@@ -638,7 +684,7 @@ pub(crate) struct ShardScratch {
 impl ShardScratch {
     /// Grows the buffers to `shard`'s sizes (a no-op once they fit).
     fn fit(&mut self, shard: &Shard) {
-        grow(&mut self.scores, shard.max_panel_len(), 0.0);
+        grow(&mut self.scan.scores, shard.max_panel_len(), 0.0);
         grow(&mut self.route, shard.num_clusters(), 0.0);
         grow(&mut self.seen, shard.len(), false);
     }
@@ -646,6 +692,31 @@ impl ShardScratch {
     /// Restores the all-clear bitmap after a step panicked mid-request.
     pub(crate) fn reset(&mut self) {
         self.seen.fill(false);
+    }
+}
+
+/// Buffers of the one-row scan ([`Panel::scan_select`]): the panel score
+/// buffer (int8 scores, or the f32 GEMV on a fallback), the quantized
+/// query, the heap of the `k` best lower bounds, the certified candidates
+/// and their f32 re-scores.
+#[derive(Debug)]
+struct ScanScratch {
+    scores: Vec<f32>,
+    qquery: QuantizedQuery,
+    floor: BinaryHeap<Reverse<Bound>>,
+    candidates: Vec<usize>,
+    exact: Vec<f32>,
+}
+
+impl Default for ScanScratch {
+    fn default() -> Self {
+        Self {
+            scores: Vec::new(),
+            qquery: QuantizedQuery::quantize(&[]),
+            floor: BinaryHeap::new(),
+            candidates: Vec::new(),
+            exact: Vec::new(),
+        }
     }
 }
 
@@ -789,6 +860,24 @@ mod tests {
             let ids: Vec<usize> = cat.top_k(&q, 10, None).iter().map(|s| s.item).collect();
             assert_eq!(ids, reference, "shards = {shards}");
         }
+    }
+
+    #[test]
+    fn certified_scan_rescores_a_small_candidate_set() {
+        let (n, d) = (4000, 24);
+        let w = Matrix::from_vec(n, d, (0..n * d).map(|i| ((i * 7919) % 1013) as f32 / 506.5 - 1.0).collect());
+        let q: Vec<f32> = (0..d).map(|k| (k as f32 * 0.37).sin()).collect();
+        let cat = ShardedCatalog::from_matrix(&w, 1);
+        let shard = &cat.shards()[0];
+        let mut scratch = ShardScratch::default();
+        scratch.fit(shard);
+        scratch.scan.qquery.requantize(&q);
+        let bound = ScoreBound::new(&q, &scratch.scan.qquery).expect("a finite query has a bound");
+        let got = shard.panel(0).scan_select(0, &q, Some(&bound), 10, None, &mut scratch.scan);
+        let candidates = scratch.scan.candidates.len();
+        assert!((10..n / 20).contains(&candidates), "{candidates} certified candidates of {n}");
+        let ids: Vec<usize> = got.iter().map(|s| s.item).collect();
+        assert_eq!(ids, top_k_indices(&w.matvec_transposed(&q), 10));
     }
 
     #[test]

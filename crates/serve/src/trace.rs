@@ -1,9 +1,8 @@
 //! Stage-level timing of one served batch.
 //!
 //! A [`StageTrace`] is the score plan's timing scratchpad: the plan fills in
-//! how long query assembly, each shard's step (route, scan and select), the
-//! k-way merge and (on the int8 tier) the exact re-rank took — for a batch
-//! of one exactly as for any other. The dispatcher then shapes the totals
+//! how long query assembly, each shard's step (route, scan and select) and
+//! the k-way merge took — for a batch of one exactly as for any other. The dispatcher then shapes the totals
 //! into per-request [`SpanTree`](ham_telemetry::SpanTree)s for the flight
 //! recorder. Tracing is requested explicitly (`Option<&mut StageTrace>`
 //! threaded through the plan), so the untraced path carries a `None` check
@@ -20,9 +19,6 @@ pub struct StageTrace {
     pub shard_score_micros: Vec<(usize, u64)>,
     /// The per-request k-way merges across the batch.
     pub merge_micros: u64,
-    /// Exact f32 re-rank of the merged candidates (int8 tier only; zero on
-    /// the exact tier).
-    pub rerank_micros: u64,
 }
 
 impl StageTrace {

@@ -126,22 +126,6 @@ fn vacuous_fault_spec_keeps_bounded_path_bit_identical() {
     assert_eq!(server.stats().degraded, 0);
 }
 
-/// Same, through the quantized pre-selection + exact re-rank path.
-#[test]
-fn vacuous_fault_spec_keeps_quantized_bounded_path_bit_identical() {
-    let faults = FaultInjector::parse("seed=5;shard_slow=99:1ms").expect("valid fault spec");
-    let registry = Arc::new(ModelRegistry::new(model().with_quantized_catalog()));
-    let config = ServerConfig { coalesce_wait: Duration::ZERO, ..ServerConfig::default() };
-    let server = RecServer::start_instrumented(Arc::clone(&registry), config, Telemetry::disabled(), faults);
-    for user in 0..16 {
-        let request = RecommendRequest::new(user, vec![(user * 3) % NUM_ITEMS], 5);
-        let exact = registry.current().model.recommend(&request);
-        let response = server.submit(request).expect("admitted");
-        assert!(!response.degraded);
-        assert_eq!(items_and_bits(&response.items), items_and_bits(&exact), "user {user}");
-    }
-}
-
 /// A shard slowed past the deadline budget is dropped and the response
 /// arrives within (a small multiple of) the deadline instead of waiting out
 /// the full injected delay.

@@ -3,7 +3,7 @@
 //! * **`nprobe = all` is exact** — visiting every cluster must return
 //!   **bit-identical** results (ids, order *and* score bits) to the
 //!   unclustered serving path, for randomized catalogues, queries, masks,
-//!   shard counts and cluster counts, with and without int8 quantization.
+//!   shard counts and cluster counts.
 //!   The cluster index only *regroups* catalogue rows: the per-row GEMV is
 //!   position-independent and the panel GEMM accumulates each output element
 //!   in the same ascending-k order, so grouping must never change a bit.
@@ -51,7 +51,7 @@ proptest! {
     /// The tentpole invariant: `nprobe = all` serves **bit-identical**
     /// results to the unclustered exact path — ids, order and score bits —
     /// for randomized catalogues, queries, masks, shard counts and cluster
-    /// counts, on both the f32 and the int8-preselect serving paths.
+    /// counts.
     #[test]
     fn nprobe_all_is_bit_identical_to_exact(
         n in 10usize..60,
@@ -73,19 +73,7 @@ proptest! {
         prop_assert!(clustered.is_clustered());
         let want = exact.top_k(&q, k, seen_bits);
         let got = clustered.top_k(&q, k, seen_bits);
-        prop_assert_eq!(bits(&got), bits(&want), "f32: n={} shards={} clusters={} k={}", n, shards, clusters, k);
-
-        // Quantization composes in either construction order; both must
-        // reproduce the exact quantized path bit-for-bit.
-        let exact_q = ShardedCatalog::from_matrix(&w, shards).with_quantization();
-        let want_q = exact_q.quantized_top_k(&q, k, seen_bits);
-        for quantized in [
-            ShardedCatalog::from_matrix(&w, shards).with_quantization().with_cluster_index(&config),
-            ShardedCatalog::from_matrix(&w, shards).with_cluster_index(&config).with_quantization(),
-        ] {
-            let got_q = quantized.quantized_top_k(&q, k, seen_bits);
-            prop_assert_eq!(bits(&got_q), bits(&want_q), "int8: n={} shards={} clusters={} k={}", n, shards, clusters, k);
-        }
+        prop_assert_eq!(bits(&got), bits(&want), "n={} shards={} clusters={} k={}", n, shards, clusters, k);
     }
 
     /// Approximate serving is still deterministic: at any `nprobe`, the
@@ -100,7 +88,6 @@ proptest! {
         nprobe in 1usize..6,
         k in 1usize..9,
         seed in 0usize..500,
-        quantize in 0usize..2,
     ) {
         let d = 8usize;
         let w = catalogue(n, d, seed);
@@ -108,14 +95,11 @@ proptest! {
         let queries: Vec<Vec<f32>> = (0..6).map(|u| query(d, seed + u * 97)).collect();
         let shared = Arc::new(queries);
         let lookup = Arc::clone(&shared);
-        let mut model = ServingModel::from_catalog(
+        let model = ServingModel::from_catalog(
             "ivf-batch",
             ShardedCatalog::from_matrix(&w, shards).with_cluster_index(&config),
             move |user, _| lookup[user].clone(),
         );
-        if quantize == 1 {
-            model = model.with_quantized_catalog();
-        }
         let requests: Vec<RecommendRequest> =
             (0..shared.len()).map(|u| RecommendRequest::new(u, vec![(u * 5) % n, (u * 11) % n], k)).collect();
         let batched = model.recommend_batch(&requests, None);
@@ -123,7 +107,7 @@ proptest! {
             let solo = model.recommend(request);
             prop_assert_eq!(
                 bits(&batched[i]), bits(&solo),
-                "n={} shards={} nprobe={} k={} user={} quantize={}", n, shards, nprobe, k, i, quantize
+                "n={} shards={} nprobe={} k={} user={}", n, shards, nprobe, k, i
             );
         }
     }
@@ -225,36 +209,29 @@ fn clusters_probed_metadata_flows_through_responses() {
 fn bounded_path_serves_clustered_models_exactly_or_flagged() {
     let w = catalogue(48, 6, 23);
     let config = IvfConfig { clusters: 4, nprobe: 2, iters: 4, seed: 2 };
-    let make = |quantize: bool| {
+    let make = || {
         let catalog = ShardedCatalog::from_matrix(&w, 3).with_cluster_index(&config);
-        let model = ServingModel::from_catalog("ivf-bounded", catalog, |user, history| {
+        ServingModel::from_catalog("ivf-bounded", catalog, |user, history| {
             vec![1.0, user as f32 * 0.1, history.len() as f32 * 0.05, (user % 7) as f32 * -0.2, 0.3, -0.4]
-        });
-        if quantize {
-            model.with_quantized_catalog()
-        } else {
-            model
-        }
+        })
     };
     // Vacuous fault spec arms the bounded path without touching any shard.
-    for quantize in [false, true] {
-        let faults = FaultInjector::parse("seed=5;shard_slow=99:1ms").expect("valid fault spec");
-        let registry = Arc::new(ModelRegistry::new(make(quantize)));
-        let server_config = ServerConfig { coalesce_wait: Duration::ZERO, ..ServerConfig::default() };
-        let server = RecServer::start_instrumented(Arc::clone(&registry), server_config, Telemetry::disabled(), faults);
-        for user in 0..12 {
-            let request = RecommendRequest::new(user, vec![user % 48, (user + 7) % 48], 6);
-            let exact = registry.current().model.recommend(&request);
-            let response = server.submit(request).expect("admitted");
-            assert!(!response.degraded);
-            assert_eq!(bits(&response.items), bits(&exact), "bounded clustered path, user {user}");
-            assert!(response.clusters_probed > 0);
-        }
-        server.shutdown();
+    let faults = FaultInjector::parse("seed=5;shard_slow=99:1ms").expect("valid fault spec");
+    let registry = Arc::new(ModelRegistry::new(make()));
+    let server_config = ServerConfig { coalesce_wait: Duration::ZERO, ..ServerConfig::default() };
+    let server = RecServer::start_instrumented(Arc::clone(&registry), server_config, Telemetry::disabled(), faults);
+    for user in 0..12 {
+        let request = RecommendRequest::new(user, vec![user % 48, (user + 7) % 48], 6);
+        let exact = registry.current().model.recommend(&request);
+        let response = server.submit(request).expect("admitted");
+        assert!(!response.degraded);
+        assert_eq!(bits(&response.items), bits(&exact), "bounded clustered path, user {user}");
+        assert!(response.clusters_probed > 0);
     }
+    server.shutdown();
     // A panicking shard under the clustered path still degrades loudly.
     let faults = FaultInjector::parse("seed=3;shard_panic=1").expect("valid fault spec");
-    let registry = Arc::new(ModelRegistry::new(make(false)));
+    let registry = Arc::new(ModelRegistry::new(make()));
     let server_config = ServerConfig { coalesce_wait: Duration::ZERO, ..ServerConfig::default() };
     let server = RecServer::start_instrumented(Arc::clone(&registry), server_config, Telemetry::disabled(), faults);
     let response = server.submit(RecommendRequest::new(1, vec![2, 4], 5)).expect("admitted");

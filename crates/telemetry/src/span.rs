@@ -4,7 +4,7 @@
 //! nested child stages, each carrying a start offset (relative to the root)
 //! and a duration in microseconds. The serving dispatcher builds one tree
 //! per request — `request → {queue, service → {batch_assembly, shard_score →
-//! {shard_i…}, merge, rerank}}` — and pushes it into the [`FlightRecorder`],
+//! {shard_i…}, merge}}` — and pushes it into the [`FlightRecorder`],
 //! a fixed-capacity ring of the most recent trees, so the requests around a
 //! tail-latency spike can be inspected *after the fact* without having
 //! logged anything.

@@ -19,7 +19,7 @@
 //! the same row data — an element's value never depends on which path
 //! computed it or where it sat in a tile.
 
-use super::{pack_panel_kmajor, quantized_score, row_is_sparse, GEMM_B_PANEL};
+use super::{pack_panel_kmajor, quantized_score, row_is_sparse, GEMM_B_PANEL, SERIAL_DOT_LEN};
 use crate::quant::{QuantizedMatrix, QuantizedQuery};
 use crate::Matrix;
 use core::arch::x86_64::*;
@@ -30,12 +30,18 @@ use core::arch::x86_64::*;
 const GEMM_MR: usize = 4;
 
 /// Dot product: four independent 8-wide FMA accumulator chains (32 floats in
-/// flight), one fixed-order horizontal reduction, scalar-FMA tail.
+/// flight), one fixed-order horizontal reduction, scalar-FMA tail. Rows
+/// shorter than [`SERIAL_DOT_LEN`] are one ascending FMA chain from zero —
+/// the chain the GEMM computes for every element — so at those widths a
+/// lone request's GEMV and a batched request's GEMM agree bit for bit.
 #[target_feature(enable = "avx2,fma")]
 // ham-lint: hot-path
 pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "avx2::dot: length mismatch (the dispatcher asserts this)");
     let len = a.len().min(b.len());
+    if len < SERIAL_DOT_LEN {
+        return a[..len].iter().zip(&b[..len]).fold(0.0, |sum, (x, y)| x.mul_add(*y, sum));
+    }
     let mut acc = [_mm256_setzero_ps(); 4];
     let mut k = 0;
     let mut lane = 0;
@@ -77,6 +83,19 @@ pub(super) fn matvec_transposed_into(w: &Matrix, q: &[f32], out: &mut [f32]) {
     let data = w.as_slice();
     for (j, o) in out.iter_mut().enumerate() {
         *o = dot(&data[j * d..(j + 1) * d], q);
+    }
+}
+
+/// `out[i] = w.row(rows[i]) · q` with the [`dot`] chain of
+/// [`matvec_transposed_into`], so each output matches that row of the GEMV
+/// bit for bit. The dispatcher validated the shapes and row indices.
+#[target_feature(enable = "avx2,fma")]
+// ham-lint: hot-path
+pub(super) fn dot_rows_into(w: &Matrix, rows: &[usize], q: &[f32], out: &mut [f32]) {
+    let d = w.cols();
+    let data = w.as_slice();
+    for (o, &r) in out.iter_mut().zip(rows) {
+        *o = dot(&data[r * d..(r + 1) * d], q);
     }
 }
 

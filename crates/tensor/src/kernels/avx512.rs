@@ -122,6 +122,19 @@ pub(super) fn matvec_transposed_into(w: &Matrix, q: &[f32], out: &mut [f32]) {
     }
 }
 
+/// `out[i] = w.row(rows[i]) · q` with the [`dot`] chain of
+/// [`matvec_transposed_into`], so each output matches that row of the GEMV
+/// bit for bit. The dispatcher validated the shapes and row indices.
+#[target_feature(enable = "avx512f,avx512bw")]
+// ham-lint: hot-path
+pub(super) fn dot_rows_into(w: &Matrix, rows: &[usize], q: &[f32], out: &mut [f32]) {
+    let d = w.cols();
+    let data = w.as_slice();
+    for (o, &r) in out.iter_mut().zip(rows) {
+        *o = dot(&data[r * d..(r + 1) * d], q);
+    }
+}
+
 /// Register-blocked `a · bᵀ` into `out` (overwrites): the packed-panel
 /// layout of the portable tier with an explicit [`GEMM_MR`]-row × 32-column
 /// FMA register tile over the panel.

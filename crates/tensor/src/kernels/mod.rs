@@ -17,6 +17,8 @@
 //!   query against the whole catalogue in one fused pass over `W` (one user,
 //!   all items: the serving fast path; the `_into` variant writes a caller
 //!   buffer so the serving loop allocates nothing per request).
+//! * [`dot_rows_into`] — the same per-row [`dot`] over a listed subset of
+//!   rows (re-scoring the candidates the int8 certified scan keeps).
 //! * [`matmul_transposed`] / [`matmul_transposed_into`] — packed-panel
 //!   `A · Bᵀ` whose inner loop is a contiguous axpy over an L1-resident
 //!   transposed panel of `B` (many users, all items: the `Q · Wᵀ`
@@ -61,7 +63,7 @@
 //!
 //! | call site | kernel |
 //! |---|---|
-//! | score one user, few candidate items | [`dot`] per candidate |
+//! | score one user, few candidate items | [`dot`] per candidate, or [`dot_rows_into`] for a listed set |
 //! | score one user, whole catalogue | [`matvec_transposed`] (serving: [`matvec_transposed_into`]) |
 //! | score a user batch, whole catalogue | [`matmul_transposed`] (`Q·Wᵀ`) |
 //! | dense forward/backward products | [`matmul`] |
@@ -77,7 +79,11 @@
 //! position. That per-row/per-element position-independence is what keeps
 //! the sharded serving layer bit-identical to the single-node path. (The two
 //! properties differ: a new tier must match its *own* rows across groupings,
-//! not reproduce another tier's chain shape.)
+//! not reproduce another tier's chain shape.) Rows shorter than 16 elements
+//! are the one exception to the multi-chain shape: on every tier [`dot`]
+//! scores them as one ascending chain from zero, which is exactly a GEMM
+//! element's chain, so at those widths the GEMV and the GEMM agree bit for
+//! bit as well.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -103,6 +109,13 @@ const GEMM_B_PANEL: usize = 128;
 /// vector register of accumulators, so the reduction vectorizes instead of
 /// serialising on a single accumulator chain.
 const DOT_LANES: usize = 8;
+
+/// Rows shorter than this are one ascending accumulation chain from zero in
+/// the portable and AVX2 [`dot`] — the chain every GEMM element is — as they
+/// already are in the AVX-512 one (its vector blocks start at 16). At these
+/// widths a one-row GEMV and the batched GEMM agree bit for bit on every
+/// tier.
+const SERIAL_DOT_LEN: usize = 16;
 
 /// One implementation tier of the kernel layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -389,6 +402,55 @@ fn matvec_transposed_into_impl(tier: KernelTier, w: &Matrix, q: &[f32], out: &mu
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — avx512f+avx512bw were detected or asserted.
         KernelTier::Avx512 => unsafe { avx512::matvec_transposed_into(w, q, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
+    }
+}
+
+/// Scores one query against the listed rows of `w`:
+/// `out[i] = w.row(rows[i]) · q`, each with the same [`dot`] chain
+/// [`matvec_transposed_into`] applies to that row — so every output is
+/// bit-identical to the corresponding entry of the full GEMV on the same
+/// tier. One kernel call per row list (the certified scan's re-score of its
+/// candidates), counted with the bytes it actually reads.
+///
+/// # Panics
+/// Panics if `q.len() != w.cols()`, `out.len() != rows.len()`, or a row index
+/// is out of bounds.
+#[inline]
+pub fn dot_rows_into(w: &Matrix, rows: &[usize], q: &[f32], out: &mut [f32]) {
+    dot_rows_into_impl(dispatch(), w, rows, q, out)
+}
+
+/// [`dot_rows_into`] on an explicit tier.
+///
+/// # Panics
+/// Panics on shape mismatch, an out-of-bounds row or an unsupported tier.
+pub fn dot_rows_into_with_tier(tier: KernelTier, w: &Matrix, rows: &[usize], q: &[f32], out: &mut [f32]) {
+    dot_rows_into_impl(checked(tier), w, rows, q, out)
+}
+
+fn dot_rows_into_impl(tier: KernelTier, w: &Matrix, rows: &[usize], q: &[f32], out: &mut [f32]) {
+    debug_assert_dispatchable(tier);
+    let (n, d) = w.shape();
+    assert_eq!(q.len(), d, "dot_rows_into: query length {} does not match {} columns", q.len(), d);
+    assert_eq!(out.len(), rows.len(), "dot_rows_into: buffer holds {} scores for {} rows", out.len(), rows.len());
+    if let Some(&bad) = rows.iter().find(|&&r| r >= n) {
+        panic!("dot_rows_into: row {bad} out of bounds for {n} rows");
+    }
+    counters::note(tier, 4 * (rows.len() * d + d + rows.len()) as u64);
+    match tier {
+        KernelTier::Portable => portable::dot_rows_into(w, rows, q, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: every caller validated the tier — `dispatch()` only yields
+        // Avx2 after runtime detection, `checked()` asserts it, and the
+        // `debug_assert_dispatchable` at the top of this function re-checks
+        // it in debug builds — so the avx2+fma features this function
+        // requires are present.
+        KernelTier::Avx2 => unsafe { avx2::dot_rows_into(w, rows, q, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above — avx512f+avx512bw were detected or asserted.
+        KernelTier::Avx512 => unsafe { avx512::dot_rows_into(w, rows, q, out) },
         #[cfg(not(target_arch = "x86_64"))]
         KernelTier::Avx2 | KernelTier::Avx512 => unreachable!("SIMD tiers are never selected off x86_64"),
     }

@@ -12,7 +12,9 @@
 //! element is one accumulation chain in ascending-`k` order, so results do
 //! not depend on how rows are grouped into panels or shards.
 
-use super::{pack_panel_kmajor, quantized_score, row_is_sparse, DOT_LANES, GEMM_B_PANEL, MATMUL_J_BLOCK};
+use super::{
+    pack_panel_kmajor, quantized_score, row_is_sparse, DOT_LANES, GEMM_B_PANEL, MATMUL_J_BLOCK, SERIAL_DOT_LEN,
+};
 use crate::quant::{QuantizedMatrix, QuantizedQuery};
 use crate::Matrix;
 
@@ -22,9 +24,15 @@ use crate::Matrix;
 /// must not reassociate, so it can neither vectorize nor overlap the FMAs.
 /// Eight explicit partial sums make the reassociation part of the program:
 /// the loop body is lane-wise independent and compiles to vector FMAs, with
-/// one horizontal reduction at the end.
+/// one horizontal reduction at the end. Rows shorter than
+/// [`SERIAL_DOT_LEN`] are one ascending chain from zero — the chain the
+/// GEMM computes for every element — so at those widths a lone request's
+/// GEMV and a batched request's GEMM agree bit for bit.
 // ham-lint: hot-path
 pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    if a.len() < SERIAL_DOT_LEN {
+        return a.iter().zip(b).fold(0.0, |sum, (x, y)| sum + x * y);
+    }
     let mut acc = [0.0f32; DOT_LANES];
     let mut a_chunks = a.chunks_exact(DOT_LANES);
     let mut b_chunks = b.chunks_exact(DOT_LANES);
@@ -50,6 +58,18 @@ pub(super) fn matvec_transposed_into(w: &Matrix, q: &[f32], out: &mut [f32]) {
     let data = w.as_slice();
     for (j, o) in out.iter_mut().enumerate() {
         *o = dot(&data[j * d..(j + 1) * d], q);
+    }
+}
+
+/// `out[i] = w.row(rows[i]) · q` with the [`dot`] chain of
+/// [`matvec_transposed_into`], so each output matches that row of the GEMV
+/// bit for bit. The dispatcher validated the shapes and row indices.
+// ham-lint: hot-path
+pub(super) fn dot_rows_into(w: &Matrix, rows: &[usize], q: &[f32], out: &mut [f32]) {
+    let d = w.cols();
+    let data = w.as_slice();
+    for (o, &r) in out.iter_mut().zip(rows) {
+        *o = dot(&data[r * d..(r + 1) * d], q);
     }
 }
 

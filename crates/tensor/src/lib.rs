@@ -37,7 +37,10 @@
 //! [`QuantizedQuery`] quantizes a request vector, and the `quantized_*`
 //! kernels in [`kernels`] score the pair with exact integer accumulation —
 //! quartering the memory traffic of the bandwidth-bound catalogue pass while
-//! staying bit-identical across tiers and shard groupings.
+//! staying bit-identical across tiers and shard groupings. [`ScoreBound`]
+//! bounds how far such a score can sit from the f32 one, which lets the
+//! serving layer's certified scan read the catalogue in int8 and re-score
+//! only the rows that can still reach the top-k.
 //!
 //! ## The worker pool
 //!
@@ -86,4 +89,4 @@ pub use cluster::{kmeans_rows, KMeansResult};
 pub use matrix::Matrix;
 pub use ops::{sigmoid, sigmoid_scalar, softmax_in_place};
 pub use pool::Pooling;
-pub use quant::{QuantizedMatrix, QuantizedQuery};
+pub use quant::{QuantizedMatrix, QuantizedQuery, ScoreBound};

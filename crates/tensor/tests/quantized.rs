@@ -1,13 +1,16 @@
 //! Property suite for the int8 quantized scoring path: the a-priori error
-//! bound (scaled by the per-row magnitude through `scale_r`), exact
-//! integer-accumulation bit-identity across tiers, and round-trip behaviour
-//! of the affine scheme on arbitrary inputs.
+//! bound (scaled by the per-row magnitude through `scale_r`), the certified
+//! bound between int8 and f32 scores on every tier, exact
+//! integer-accumulation bit-identity across tiers, the candidate re-score
+//! kernel's parity with the GEMV, and round-trip behaviour of the affine
+//! scheme on arbitrary inputs.
 
 use ham_tensor::kernels::{
-    quantized_dot_with_tier, quantized_matmul_transposed_into_with_tier, quantized_matvec_into_with_tier, KernelTier,
+    dot_rows_into_with_tier, matvec_transposed_into_with_tier, quantized_dot_with_tier,
+    quantized_matmul_transposed_into_with_tier, quantized_matvec_into_with_tier, KernelTier,
 };
 use ham_tensor::quant::score_error_bound;
-use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery};
+use ham_tensor::{Matrix, QuantizedMatrix, QuantizedQuery, ScoreBound};
 use proptest::prelude::*;
 
 /// Every tier runnable on this machine; the quantized kernels must agree
@@ -146,6 +149,132 @@ proptest! {
                 (orig - deq).abs() <= qw.scale(0) + 1e-6,
                 "col {k}: {orig} vs {deq} (scale {})", qw.scale(0)
             );
+        }
+    }
+}
+
+/// SplitMix64 stream for the adversarial generators below.
+fn stream(seed: u64) -> impl FnMut() -> f32 {
+    let mut state = seed;
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The certified bound holds on every tier: for every row, the f32 GEMV
+    /// score lies in `[a − b, a + b]` evaluated in f32, where `a` is the int8
+    /// score and `b` the row's bound — on rows spread over twelve orders of
+    /// magnitude, constant and zero rows, near-subnormal values, and tiny,
+    /// huge and zero queries.
+    #[test]
+    fn certified_bound_covers_the_f32_score_on_every_tier(
+        seed in 0u64..1_000_000,
+        n in 1usize..40,
+        d in 1usize..70,
+        query_scale in 0usize..5,
+    ) {
+        let mut rnd = stream(seed);
+        let mut data = Vec::with_capacity(n * d);
+        for j in 0..n {
+            let scale = [1.0f32, 1e-3, 1e3, 1e-30, 1e6][j % 5];
+            match j % 7 {
+                0 => data.extend(std::iter::repeat_n(rnd() * scale, d)),
+                1 => data.extend(std::iter::repeat_n(0.0, d)),
+                _ => data.extend((0..d).map(|_| rnd() * scale)),
+            }
+        }
+        let w = Matrix::from_vec(n, d, data);
+        let qscale = [1.0f32, 0.0, 1e-20, 1e4, 1e-3][query_scale];
+        let q: Vec<f32> = (0..d).map(|_| rnd() * qscale).collect();
+        let qm = QuantizedMatrix::quantize(&w);
+        let qq = QuantizedQuery::quantize(&q);
+        let bound = ScoreBound::new(&q, &qq).expect("finite query");
+        // A case the bound does not cover would test nothing.
+        prop_assert!(bound.covers(&qm), "uncovered case (certifiable = {})", qm.certifiable());
+        let mut approx = vec![0.0f32; n];
+        quantized_matvec_into_with_tier(KernelTier::Portable, &qm, &qq, &mut approx);
+        for tier in all_tiers() {
+            let mut exact = vec![0.0f32; n];
+            matvec_transposed_into_with_tier(tier, &w, &q, &mut exact);
+            for j in 0..n {
+                let (a, s) = (approx[j], exact[j]);
+                let b = bound.row(qm.errors()[j], qm.l1_norms()[j], a);
+                prop_assert!(a - b <= s && s <= a + b, "{} row {}: f32 {} outside {} ± {}", tier, j, s, a, b);
+            }
+        }
+    }
+
+    /// The candidate re-score kernel applies each tier's own `dot` chain:
+    /// its outputs are bit-identical to the same rows of that tier's GEMV,
+    /// for any row list (repeats and any order included).
+    #[test]
+    fn dot_rows_into_matches_the_gemv_rows_on_every_tier(
+        seed in 0u64..1_000_000,
+        n in 1usize..60,
+        d in 0usize..90,
+        picks in 0usize..40,
+    ) {
+        let mut rnd = stream(seed);
+        let w = Matrix::from_vec(n, d, (0..n * d).map(|_| rnd() * 3.0).collect());
+        let q: Vec<f32> = (0..d).map(|_| rnd()).collect();
+        let rows: Vec<usize> = (0..picks).map(|_| ((rnd() + 1.0) * 0.5 * n as f32) as usize % n).collect();
+        for tier in all_tiers() {
+            let mut gemv = vec![0.0f32; n];
+            matvec_transposed_into_with_tier(tier, &w, &q, &mut gemv);
+            let mut picked = vec![f32::NAN; rows.len()];
+            dot_rows_into_with_tier(tier, &w, &rows, &q, &mut picked);
+            for (i, &r) in rows.iter().enumerate() {
+                prop_assert_eq!(picked[i].to_bits(), gemv[r].to_bits(), "{} pick {} (row {})", tier, i, r);
+            }
+        }
+    }
+}
+
+/// Non-finite inputs are never certified: a NaN or infinite row makes the
+/// snapshot uncertifiable, and a non-finite query has no bound.
+#[test]
+fn non_finite_inputs_are_never_certified() {
+    let finite = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[1.0, 1.0, 1.0]]);
+    assert!(QuantizedMatrix::quantize(&finite).certifiable());
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let w = Matrix::from_rows(&[&[0.5, bad, 2.0], &[1.0, 1.0, 1.0]]);
+        assert!(!QuantizedMatrix::quantize(&w).certifiable(), "row holding {bad}");
+        let q = [1.0, bad, 0.5];
+        assert!(ScoreBound::new(&q, &QuantizedQuery::quantize(&q)).is_none(), "query holding {bad}");
+    }
+    // Values whose range overflows f32 have no finite scale.
+    let huge = Matrix::from_rows(&[&[f32::MAX, -f32::MAX]]);
+    assert!(!QuantizedMatrix::quantize(&huge).certifiable());
+}
+
+/// The fused copy-and-quantize build equals quantizing the copied matrix,
+/// and its stored row terms bound the true ones from above: the L1 norms
+/// and the worst element errors (zero for a row stored exactly).
+#[test]
+fn quantize_copy_matches_quantize_and_bounds_the_row_terms() {
+    let mut rnd = stream(9);
+    let (n, d) = (37, 23);
+    let mut src: Vec<f32> = (0..n * d).map(|_| rnd() * 4.0).collect();
+    src[..d].fill(0.0);
+    let (copy, fused) = QuantizedMatrix::quantize_copy(&src, n, d);
+    assert_eq!(copy.as_slice(), src.as_slice());
+    assert_eq!(fused, QuantizedMatrix::quantize(&copy));
+    assert_eq!(fused.errors()[0], 0.0, "a zero row is stored exactly");
+    for j in 0..n {
+        let exact: f64 = copy.row(j).iter().map(|&v| (v as f64).abs()).sum();
+        assert!(fused.l1_norms()[j] as f64 >= exact, "row {j}");
+        // The exact dequantization `scale·(p − zp)`, in f64.
+        let (scale, zp) = (fused.scale(j) as f64, fused.zero_point(j) as f64);
+        for (&v, &p) in copy.row(j).iter().zip(fused.row(j)) {
+            let error = (scale * (p as f64 - zp) - v as f64).abs();
+            assert!(error <= fused.errors()[j] as f64, "row {j}: {v} off by {error}");
         }
     }
 }

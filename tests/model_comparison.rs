@@ -52,13 +52,28 @@ fn ham_inference_is_faster_than_the_convolutional_baseline() {
     let ham = Method::Ham(HamVariant::HamSM).fit(&train_sequences, dataset.num_items, windows, &cfg);
     let caser = Method::Caser.fit(&train_sequences, dataset.num_items, windows, &cfg);
 
-    let ham_time = measure_scoring_time(&users, |u, h| ham.score_all(u, h));
-    let caser_time = measure_scoring_time(&users, |u, h| caser.score_all(u, h));
+    // Wall-clock on a shared machine: a single pass per model lets one
+    // scheduler hiccup decide the comparison. Each pass scores every user
+    // `USER_REPEATS` times; passes alternate which model goes first; each
+    // model keeps its best pass.
+    const PASSES: usize = 12;
+    const USER_REPEATS: usize = 10;
+    let workload: Vec<(usize, Vec<usize>)> = users.iter().cycle().take(users.len() * USER_REPEATS).cloned().collect();
+    let mut best = [f64::INFINITY; 2];
+    for pass in 0..PASSES {
+        for arm in [pass % 2, 1 - pass % 2] {
+            let timing = match arm {
+                0 => measure_scoring_time(&workload, |u, h| ham.score_all(u, h)),
+                _ => measure_scoring_time(&workload, |u, h| caser.score_all(u, h)),
+            };
+            best[arm] = best[arm].min(timing.seconds_per_user);
+        }
+    }
+    let [ham_best, caser_best] = best;
     assert!(
-        ham_time.seconds_per_user < caser_time.seconds_per_user,
-        "HAM ({:.2e}s/user) should be faster than Caser ({:.2e}s/user) at test time",
-        ham_time.seconds_per_user,
-        caser_time.seconds_per_user
+        ham_best < caser_best,
+        "HAM ({ham_best:.2e}s/user) should be faster than Caser ({caser_best:.2e}s/user) at test time \
+         (best of {PASSES} alternating passes)"
     );
 }
 
